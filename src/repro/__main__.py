@@ -88,7 +88,6 @@ def _config(args) -> SchedulerConfig:
                            narrow=not args.no_narrow,
                            presolve=not args.no_presolve,
                            warm_start=not args.no_warm_start,
-                           vectorize=False if args.no_vectorize else None,
                            partition=getattr(args, "partition", False),
                            partition_size=getattr(args, "partition_size", 48),
                            partition_rounds=getattr(args, "partition_rounds",
@@ -134,11 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sched.add_argument("--no-warm-start", action="store_true",
                        help="disable heuristic warm starts for the MILP "
                             "solves (see docs/performance.md)")
-    sched.add_argument("--no-vectorize", action="store_true",
-                       help="use the pure-Python reference kernels instead "
-                            "of the numpy-vectorized hot paths; results are "
-                            "bit-identical either way (overrides "
-                            "REPRO_VECTORIZE; see docs/performance.md)")
 
     partition = argparse.ArgumentParser(add_help=False)
     partition.add_argument("--partition", action="store_true",
@@ -192,7 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("ablations",
                    parents=[sched, device_parent("xc7"), runtime],
-                   help="sensitivity sweeps (depth, alpha/beta, K, heuristic)")
+                   help="sensitivity sweeps (depth, alpha/beta, K, "
+                        "heuristic, bit-blast)")
 
     p = sub.add_parser("trace",
                        parents=[sched, device_parent("xc7"), runtime],
@@ -898,10 +893,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "ablations":
         from .experiments import (
             format_alpha_beta,
+            format_bitblast,
             format_heuristic_gap,
             format_k_sweep,
             format_xorr_depth,
             sweep_alpha_beta,
+            sweep_bitblast,
             sweep_heuristic_gap,
             sweep_k,
             sweep_xorr_depth,
@@ -923,6 +920,8 @@ def main(argv: list[str] | None = None) -> int:
         print(format_heuristic_gap(
             sweep_heuristic_gap(device=device, config=_config(args),
                                 jobs=args.jobs, cache_dir=args.cache_dir)))
+        print()
+        print(format_bitblast(sweep_bitblast()))
         return 0
 
     return 1  # pragma: no cover

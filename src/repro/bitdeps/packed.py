@@ -23,10 +23,14 @@ reference big ints — a Python int only pays for words up to its top set bit
 16k-bit space) stay fast instead of paying the full row width per OR.
 
 Word order is little-endian, so ``int.from_bytes(row.tobytes(), "little")``
-reproduces the reference Python-int mask exactly; the parity suite
-(tests/test_vectorize.py) pins this for every op class. Popcounts use
-``np.bitwise_count`` when the installed numpy has it (>= 2.0) and a uint8
-lookup table otherwise.
+reproduces the reference Python-int mask exactly; tests/test_bitdeps.py
+pins this for every op class against ``SupportCalculator.supports``.
+Popcounts use ``np.bitwise_count`` when the installed numpy has it
+(>= 2.0) and a uint8 lookup table otherwise.
+
+Cones are never re-walked from scratch: the cut enumerator composes
+:meth:`PackedSupportCalculator.transfer` over the packed rows of the cuts
+it merges.
 """
 
 from __future__ import annotations
@@ -136,11 +140,12 @@ def ints_to_rows(masks: Iterable[int], words: int) -> Rows:
 
 
 class PackedSupportCalculator:
-    """Packed twin of :class:`~repro.bitdeps.support.SupportCalculator`.
+    """Per-node DEP transfer on packed rows (the cut enumerator's kernel).
 
-    Uses the identical global bit numbering — bit ``b`` of node ``n`` at
-    iteration distance ``d`` lives at ``offset[n] + d * width + b`` — so
-    masks round-trip bit-exactly between the two representations.
+    Uses the global bit numbering of
+    :class:`~repro.bitdeps.support.SupportCalculator` — bit ``b`` of node
+    ``n`` at iteration distance ``d`` lives at ``offset[n] + d * width + b``
+    — so masks round-trip bit-exactly between the two representations.
     """
 
     def __init__(self, graph: CDFG) -> None:
@@ -163,9 +168,6 @@ class PackedSupportCalculator:
     # -- representation ------------------------------------------------
     def global_index(self, nid: int, bit: int, distance: int = 0) -> int:
         return self._offset[nid] + distance * self.graph.node(nid).width + bit
-
-    def zeros(self, n: int) -> Rows:
-        return Rows(np.zeros((n, self.words), dtype=_U64), 0, 0)
 
     def leaf_rows(self, nid: int, distance: int = 0) -> Rows:
         """Packed equivalent of ``SupportCalculator.leaf_masks``."""
@@ -197,8 +199,8 @@ class PackedSupportCalculator:
         """Support rows of ``node`` given packed rows per operand *slot*.
 
         Slots absent from ``slot_rows`` contribute nothing (constant
-        operands are absorbed for free) — exactly the reference
-        ``_compose_masks`` / ``supports`` semantics.
+        operands are absorbed for free) — exactly the semantics of
+        ``SupportCalculator.supports``.
         """
         graph = self.graph
         kind = node.kind
@@ -336,119 +338,3 @@ class PackedSupportCalculator:
             return done()
 
         raise CutError(f"DEP not defined for {kind.value}")  # pragma: no cover
-
-    def live_slots(self, node: Node) -> list[int]:
-        """Operand slots with at least one DEP entry over all output bits.
-
-        Mirrors which operands the reference ``supports`` recursion actually
-        visits — dead slots (e.g. a SHL amount beyond the output width) are
-        never recursed into and never distance-checked.
-        """
-        kind = node.kind
-        if kind in (OpKind.INPUT, OpKind.CONST):
-            return []
-        widths = self._widths(node)
-        W = node.width
-        if kind in (OpKind.OUTPUT, OpKind.NOT, OpKind.TRUNC, OpKind.ZEXT,
-                    OpKind.NEG):
-            return [0] if min(W, widths[0]) > 0 else []
-        if kind in (OpKind.AND, OpKind.OR, OpKind.XOR, OpKind.ADD, OpKind.SUB,
-                    OpKind.EQ, OpKind.NE, OpKind.LT, OpKind.GE):
-            return [s for s in (0, 1) if min(W, widths[s]) > 0]
-        if kind is OpKind.MUX:
-            return [0] + [s for s in (1, 2) if min(W, widths[s]) > 0]
-        if kind is OpKind.SHL:
-            return [0] if node.amount < W and widths[0] > 0 else []
-        if kind in (OpKind.SHR, OpKind.SLICE):
-            return [0] if node.amount < widths[0] and W > 0 else []
-        if kind is OpKind.CONCAT:
-            out = [0] if min(W, widths[0]) > 0 else []
-            if W > widths[0] and widths[1] > 0:
-                out.append(1)
-            return out
-        if kind in (OpKind.SLT, OpKind.SGE):
-            if _is_const_zero(self.graph, node, 1):
-                return [0]
-            if _is_const_zero(self.graph, node, 0):
-                return [1]
-            return [s for s in (0, 1) if widths[s] > 0]
-        if kind in (OpKind.VSHL, OpKind.VSHR):
-            return [s for s in (0, 1) if widths[s] > 0]
-        raise CutError(f"DEP not defined for {kind.value}")  # pragma: no cover
-
-    # -- support queries ----------------------------------------------
-    def supports_rows(
-        self,
-        target: int,
-        boundary: Iterable[int],
-        chosen: Mapping[int, Rows] | None = None,
-    ) -> Rows:
-        """Packed twin of ``SupportCalculator.supports``.
-
-        Same recursion, same memoization, same ``CutError`` conditions (and
-        messages) — but each node is expanded with one vectorized transfer
-        instead of a per-bit DEP walk.
-        """
-        graph = self.graph
-        bset = set(boundary)
-        memo: dict[int, Rows] = {}
-        if chosen:
-            memo.update(chosen)
-        in_progress: set[int] = set()
-
-        def rec(nid: int) -> Rows:
-            if nid in memo:
-                return memo[nid]
-            node = graph.node(nid)
-            if nid in bset:
-                result = self.leaf_rows(nid)
-            elif node.kind is OpKind.CONST:
-                result = self.zeros(node.width)
-            elif node.is_blackbox or node.kind is OpKind.INPUT:
-                raise CutError(
-                    f"boundary does not enclose node {nid} ({node.kind.value})"
-                )
-            else:
-                if nid in in_progress:
-                    raise CutError(f"combinational cycle through node {nid}")
-                in_progress.add(nid)
-                slot_rows: dict[int, Rows] = {}
-                for slot in self.live_slots(node):
-                    op = node.operands[slot]
-                    if op.distance != 0:
-                        raise CutError(
-                            f"cone crosses loop-carried edge into {op.source}"
-                        )
-                    slot_rows[slot] = rec(op.source)
-                result = self.transfer(node, slot_rows)
-                in_progress.discard(nid)
-            memo[nid] = result
-            return result
-
-        return rec(target)
-
-    def supports(
-        self,
-        target: int,
-        boundary: Iterable[int],
-        chosen: Mapping[int, list[int]] | None = None,
-    ) -> list[int]:
-        """Reference-format (Python big int) supports via the packed kernel."""
-        packed_chosen = None
-        if chosen:
-            packed_chosen = {
-                nid: masks
-                if isinstance(masks, Rows)
-                else ints_to_rows(masks, self.words)
-                for nid, masks in chosen.items()
-            }
-        return rows_to_ints(self.supports_rows(target, boundary, packed_chosen))
-
-    def max_support(self, target: int, boundary: Iterable[int]) -> int:
-        return max_popcount(self.supports_rows(target, boundary))
-
-    def is_k_feasible(self, target: int, boundary: Iterable[int], k: int) -> bool:
-        try:
-            return self.max_support(target, boundary) <= k
-        except CutError:
-            return False

@@ -8,6 +8,9 @@ from ..errors import SchedulingError
 
 __all__ = ["SchedulerConfig"]
 
+#: MILP backends :meth:`repro.milp.model.Model.solve` accepts.
+_BACKENDS = ("scipy", "bnb")
+
 
 @dataclass(frozen=True)
 class SchedulerConfig:
@@ -73,14 +76,10 @@ class SchedulerConfig:
         Feedback re-cut budget: after the initial stitch, up to this many
         merge-the-worst-boundary rounds run, keeping the best verified
         result seen.
-    vectorize:
-        Select the numpy inner kernels for the bit-level and matrix hot
-        paths (packed DEP/support bitmasks, the cut-merge filter,
-        presolve activity/propagation, BnB branching scores). ``None``
-        (default) defers to the ``REPRO_VECTORIZE`` environment
-        variable, which defaults to on. Both implementations are
-        bit-identical — the flag trades speed only, so it is *excluded*
-        from fingerprints (see :meth:`fingerprint_fields`).
+
+    Out-of-range values raise :class:`~repro.errors.SchedulingError` at
+    construction, so a bad knob fails where it is set (the service turns
+    it into a 400) instead of inside a solve.
     """
 
     ii: int = 1
@@ -101,15 +100,39 @@ class SchedulerConfig:
     partition: bool = False
     partition_size: int = 48
     partition_rounds: int = 2
-    vectorize: bool | None = None
 
     def __post_init__(self) -> None:
+        for name in ("use_mapping", "paper_objective", "narrow", "presolve",
+                     "warm_start", "partition"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise SchedulingError(
+                    f"{name} must be true or false, got {value!r}")
         if self.ii < 1:
             raise SchedulingError(f"II must be >= 1, got {self.ii}")
         if self.tcp <= 0:
             raise SchedulingError(f"Tcp must be positive, got {self.tcp}")
         if self.alpha < 0 or self.beta < 0:
             raise SchedulingError("alpha and beta must be non-negative")
+        if self.latency_bound is not None and self.latency_bound < 1:
+            raise SchedulingError(
+                f"latency_bound must be >= 1, got {self.latency_bound}")
+        if self.latency_margin < 0:
+            raise SchedulingError(
+                f"latency_margin must be >= 0, got {self.latency_margin}")
+        if self.time_limit is not None and self.time_limit <= 0:
+            raise SchedulingError(
+                f"time_limit must be positive, got {self.time_limit}")
+        if self.backend not in _BACKENDS:
+            raise SchedulingError(
+                f"backend must be one of {', '.join(_BACKENDS)}, "
+                f"got {self.backend!r}")
+        if self.max_cuts < 0:
+            raise SchedulingError(
+                f"max_cuts must be >= 0, got {self.max_cuts}")
+        if self.mip_rel_gap is not None and self.mip_rel_gap < 0:
+            raise SchedulingError(
+                f"mip_rel_gap must be >= 0, got {self.mip_rel_gap}")
         if self.partition_size < 1:
             raise SchedulingError(
                 f"partition_size must be >= 1, got {self.partition_size}")
@@ -123,14 +146,10 @@ class SchedulerConfig:
         Every result-affecting field is included: all of them can change
         the produced schedule (``time_limit`` and ``backend`` change
         which incumbent is accepted; ``narrow`` changes the scheduled
-        graph). ``vectorize`` is excluded — the vectorized and reference
-        kernels are bit-identical, so a cache entry computed either way
-        is valid for both. Runtime-only knobs such as the jobs count or
-        the cache directory deliberately live *outside* this config so
-        they never perturb fingerprints.
+        graph). Runtime-only knobs such as the jobs count or the cache
+        directory deliberately live *outside* this config so they never
+        perturb fingerprints.
         """
         import dataclasses
 
-        fields = dict(sorted(dataclasses.asdict(self).items()))
-        fields.pop("vectorize", None)
-        return fields
+        return dict(sorted(dataclasses.asdict(self).items()))

@@ -60,7 +60,6 @@ class MapScheduler:
         with self.tracer.span("cut-enum", method=self.method_name) as span:
             self.enumerator = CutEnumerator(
                 self.graph, self.device.k, max_cuts=self.config.max_cuts,
-                vectorize=self.config.vectorize,
             )
             self.cuts = self.enumerator.run()
             span.meta["candidates"] = self.enumerator.stats.candidates_generated
@@ -180,8 +179,7 @@ class MapScheduler:
         solve_model = model
         if config.presolve:
             with self.tracer.span("presolve", method=self.method_name) as span:
-                reduced, post = run_presolve(model,
-                                             vectorize=config.vectorize)
+                reduced, post = run_presolve(model)
                 span.meta.update(post.stats.to_dict())
                 if post.status is not None:
                     # Infeasibility proven without a single LP — the
@@ -242,8 +240,6 @@ class MapScheduler:
 
         if config.backend == "scipy":
             solver_kwargs["mip_rel_gap"] = config.mip_rel_gap
-        elif config.backend == "bnb":
-            solver_kwargs["vectorize"] = config.vectorize
         with self.tracer.span("solve", method=self.method_name,
                               backend=config.backend) as span:
             solution = solve_model.solve(
@@ -294,8 +290,7 @@ class BaseScheduler(MapScheduler):
         """Unit cuts only — max_cuts=0 disables cone growth entirely."""
         with self.tracer.span("cut-enum", method=self.method_name) as span:
             self.enumerator = CutEnumerator(self.graph, self.device.k,
-                                            max_cuts=0,
-                                            vectorize=self.config.vectorize)
+                                            max_cuts=0)
             self.cuts = self.enumerator.run()
             span.meta["cuts"] = self.enumerator.stats.total_selectable
             span.meta["candidates"] = self.enumerator.stats.candidates_generated

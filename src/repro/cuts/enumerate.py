@@ -23,18 +23,16 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..bitdeps.dep import dep_bits, word_dep_sources
+from ..bitdeps.dep import word_dep_sources
 from ..bitdeps.packed import (
     PackedSupportCalculator,
     ints_to_rows,
     max_popcount,
     rows_to_ints,
 )
-from ..bitdeps.support import SupportCalculator
 from ..errors import CutError
 from ..ir.graph import CDFG
 from ..ir.types import OpKind
-from ..vectorize import vectorize_enabled
 from .cut import Cut, CutSet
 
 __all__ = ["CutEnumerator", "EnumerationStats", "enumerate_cuts"]
@@ -72,24 +70,23 @@ class CutEnumerator:
         small boundary). The unit cut never counts against the cap.
     max_candidates:
         Safety valve on the per-node merge product.
-    vectorize:
-        Run the merge-filter inner loop on packed uint64 bitmask rows
-        (byte-identical cuts; see docs/performance.md). ``None`` defers to
-        ``REPRO_VECTORIZE``.
+
+    Supports are composed on packed uint64 bitmask rows
+    (:class:`~repro.bitdeps.packed.PackedSupportCalculator`): one DEP
+    transfer per candidate instead of one per output bit. The stored
+    ``Cut.masks`` are the same Python-int masks
+    :class:`~repro.bitdeps.SupportCalculator` computes from scratch.
     """
 
     def __init__(self, graph: CDFG, k: int, max_cuts: int = 12,
-                 max_candidates: int = 20000,
-                 vectorize: bool | None = None) -> None:
+                 max_candidates: int = 20000) -> None:
         if k < 2:
             raise CutError(f"K must be >= 2, got {k}")
         self.graph = graph
         self.k = k
         self.max_cuts = max_cuts
         self.max_candidates = max_candidates
-        self.calc = SupportCalculator(graph)
-        self.vectorize = vectorize_enabled(vectorize)
-        self._pcalc = PackedSupportCalculator(graph) if self.vectorize else None
+        self._pcalc = PackedSupportCalculator(graph)
         self.stats = EnumerationStats(k=k)
         self._trivial: dict[int, Cut] = {}
         self._merged: dict[int, list[Cut]] = {}
@@ -136,25 +133,26 @@ class CutEnumerator:
             self.stats.per_node_counts[nid] = len(selectable)
             if not node.is_boundary:
                 self.stats.nodes_processed += 1
-        if self._pcalc is not None:
-            # The packed rows only matter while cuts are merge ingredients;
-            # downstream consumers read the int masks. Drop the matrices so
-            # the enumerator does not double the mask memory footprint.
-            for cuts in self._merged.values():
-                for cut in cuts:
-                    if "_rows" in cut.__dict__:
-                        object.__delattr__(cut, "_rows")
-            for unit in self._unit.values():
-                if unit is not None and "_rows" in unit.__dict__:
-                    object.__delattr__(unit, "_rows")
+        # The packed rows only matter while cuts are merge ingredients;
+        # downstream consumers read the int masks. Drop the matrices so
+        # the enumerator does not double the mask memory footprint.
+        for cuts in self._merged.values():
+            for cut in cuts:
+                if "_rows" in cut.__dict__:
+                    object.__delattr__(cut, "_rows")
+        for unit in self._unit.values():
+            if unit is not None and "_rows" in unit.__dict__:
+                object.__delattr__(unit, "_rows")
         return result
 
     # ------------------------------------------------------------------
     def _make_trivial(self, nid: int) -> Cut:
+        width = self.graph.node(nid).width
         return Cut(
             root=nid,
             boundary=frozenset({nid}),
-            masks=tuple(self.calc.leaf_masks(nid)),
+            masks=tuple(1 << self._pcalc.global_index(nid, b)
+                        for b in range(width)),
             kind="trivial",
         )
 
@@ -171,52 +169,24 @@ class CutEnumerator:
             return Cut(nid, frozenset(p[0] for p in pairs),
                        tuple([0] * node.width), kind="unit",
                        entries=tuple(sorted(pairs)))
-        slots = word_dep_sources(graph, node)
+        # Rows are keyed by operand slot (not source id), which keeps two
+        # uses of the same node at different iteration distances distinct;
+        # constant operands have no slot entry and are absorbed for free.
         pairs = set()
-        if self._pcalc is not None:
-            slot_rows: dict[int, object] = {}
-            for slot in slots:
-                op = node.operands[slot]
-                if graph.node(op.source).kind is OpKind.CONST:
-                    continue
-                pairs.add((op.source, op.distance))
-                slot_rows[slot] = self._pcalc.leaf_rows(op.source, op.distance)
-            rows = self._pcalc.transfer(node, slot_rows)
-            cut = Cut(nid, frozenset(p[0] for p in pairs),
-                      tuple(rows_to_ints(rows)), kind="unit",
-                      entries=tuple(sorted(pairs)))
-            object.__setattr__(cut, "_rows", rows)
-            object.__setattr__(cut, "_max_support", max_popcount(rows))
-            return cut
-        slot_masks: dict[int, list[int]] = {}
-        for slot in slots:
+        slot_rows: dict[int, object] = {}
+        for slot in word_dep_sources(graph, node):
             op = node.operands[slot]
             if graph.node(op.source).kind is OpKind.CONST:
                 continue
             pairs.add((op.source, op.distance))
-            slot_masks[slot] = self.calc.leaf_masks(op.source, op.distance)
-        masks = self._compose_masks(node, slot_masks)
-        return Cut(nid, frozenset(p[0] for p in pairs), tuple(masks),
-                   kind="unit", entries=tuple(sorted(pairs)))
-
-    def _compose_masks(self, node, slot_masks: dict[int, list[int]]) -> list[int]:
-        """Support masks of ``node`` given masks for each operand *slot*.
-
-        Keying by slot (not source id) keeps two uses of the same node at
-        different iteration distances distinct.
-        """
-        graph = self.graph
-        masks: list[int] = []
-        for j in range(node.width):
-            m = 0
-            for entry in dep_bits(graph, node, j):
-                src_masks = slot_masks.get(entry.slot)
-                if src_masks is None:
-                    continue  # constant operand: absorbed for free
-                if entry.bit < len(src_masks):
-                    m |= src_masks[entry.bit]
-            masks.append(m)
-        return masks
+            slot_rows[slot] = self._pcalc.leaf_rows(op.source, op.distance)
+        rows = self._pcalc.transfer(node, slot_rows)
+        cut = Cut(nid, frozenset(p[0] for p in pairs),
+                  tuple(rows_to_ints(rows)), kind="unit",
+                  entries=tuple(sorted(pairs)))
+        object.__setattr__(cut, "_rows", rows)
+        object.__setattr__(cut, "_max_support", max_popcount(rows))
+        return cut
 
     def _cut_rows(self, cut: Cut):
         """Packed rows of a cut's masks, cached on the cut instance."""
@@ -277,23 +247,15 @@ class CutEnumerator:
         for combo in itertools.product(*choice_lists):
             self.stats.candidates_generated += 1
             pairs: set[tuple[int, int]] = set()
-            slot_masks: dict[int, list[int]] = {}
             slot_rows: dict[int, object] = {}
             interior: set[int] = set()
             for slot, cut, edge_dist in combo:
                 if cut.is_trivial:
                     pairs.add((cut.root, edge_dist))
-                    if pcalc is not None:
-                        slot_rows[slot] = pcalc.leaf_rows(cut.root, edge_dist)
-                    else:
-                        slot_masks[slot] = self.calc.leaf_masks(cut.root,
-                                                                edge_dist)
+                    slot_rows[slot] = pcalc.leaf_rows(cut.root, edge_dist)
                 else:
                     pairs.update(cut.entries)
-                    if pcalc is not None:
-                        slot_rows[slot] = self._cut_rows(cut)
-                    else:
-                        slot_masks[slot] = list(cut.masks)
+                    slot_rows[slot] = self._cut_rows(cut)
                     interior.add(cut.root)
                     interior.update(cut.interior)
             entries = tuple(sorted(pairs))
@@ -305,23 +267,15 @@ class CutEnumerator:
             # appears in both interior and boundary, keeping its co-timing
             # obligation. Subtracting the boundary here once created covers
             # whose recomputed logic could be scheduled before its inputs.
-            if pcalc is not None:
-                rows = pcalc.transfer(node, slot_rows)
-                support = max_popcount(rows)
-                if support > self.k:
-                    continue
-                candidate = Cut(nid, boundary, tuple(rows_to_ints(rows)),
-                                kind="merged", interior=frozenset(interior),
-                                entries=entries)
-                object.__setattr__(candidate, "_rows", rows)
-                object.__setattr__(candidate, "_max_support", support)
-            else:
-                masks = self._compose_masks(node, slot_masks)
-                candidate = Cut(nid, boundary, tuple(masks), kind="merged",
-                                interior=frozenset(interior),
-                                entries=entries)
-                if not candidate.feasible(self.k):
-                    continue
+            rows = pcalc.transfer(node, slot_rows)
+            support = max_popcount(rows)
+            if support > self.k:
+                continue
+            candidate = Cut(nid, boundary, tuple(rows_to_ints(rows)),
+                            kind="merged", interior=frozenset(interior),
+                            entries=entries)
+            object.__setattr__(candidate, "_rows", rows)
+            object.__setattr__(candidate, "_max_support", support)
             seen[entries] = candidate
             new_cuts.append(candidate)
 
@@ -347,11 +301,9 @@ class CutEnumerator:
 
 
 def enumerate_cuts(graph: CDFG, k: int, max_cuts: int = 12,
-                   max_candidates: int = 20000,
-                   vectorize: bool | None = None) -> dict[int, CutSet]:
+                   max_candidates: int = 20000) -> dict[int, CutSet]:
     """Convenience wrapper: run a :class:`CutEnumerator` and return its cuts."""
-    return CutEnumerator(graph, k, max_cuts, max_candidates,
-                         vectorize=vectorize).run()
+    return CutEnumerator(graph, k, max_cuts, max_candidates).run()
 
 
 def prune_cut_sets(graph: CDFG, cuts: dict[int, CutSet], device,

@@ -21,17 +21,6 @@ matrix, and on GFMUL with a deliberately small subgraph size in
 ``--quick`` so CI exercises cut/solve/stitch/feedback without paying
 for a paper-sized design.
 
-Two kernel kinds, ``bitdeps`` and ``cutenum``, time the vectorized
-bit-level hot paths against their pure-Python reference twins (arms
-``vectorized`` / ``reference``; see docs/performance.md "Vectorized
-kernels"): ``bitdeps`` sweeps per-bit support computation over depth-1/2/3
-cones of every node, ``cutenum`` runs full cut enumeration. Both arms
-produce identical outputs (the records carry a checksum to prove it), so
-the ratio is pure kernel speed; the summary reports ``bitdeps_speedup``
-and ``cutenum_speedup`` geomeans. The full matrix adds the full-size
-variants (:data:`KERNEL_FULLSIZE` / :data:`CUTENUM_FULLSIZE`) where the
-packed kernels matter most.
-
 A fifth kind, ``service`` (single arm ``service``), drives an
 in-process scheduling-service instance (:mod:`repro.service`) with the
 fuzz-sourced load generator — a cold wave plus a cache-hit wave — and
@@ -103,15 +92,6 @@ PARTITION_DESIGNS = ("GFMUL64", "CORDIC48", "XORR512")
 #: multiple subgraphs via a small ``partition_size``.
 QUICK_PARTITION = ("GFMUL",)
 
-#: Full-size subjects added to the ``bitdeps`` kernel arms in the full
-#: matrix (wide masks are where packing pays).
-KERNEL_FULLSIZE = ("XORR512", "CORDIC48", "GFMUL64")
-
-#: Full-size subjects for the ``cutenum`` kernel arms. GFMUL64 is left
-#: out: its reference-arm enumeration alone would dominate the whole
-#: bench wall time (its vectorized run is covered by the partition arm).
-CUTENUM_FULLSIZE = ("XORR512", "CORDIC48")
-
 #: Fuzz seeds the ``service`` arm replays through an in-process
 #: :class:`~repro.service.SchedulingService` (sub-second profiles only —
 #: the seed-routed heavy profiles like ``multi-rec`` would dominate the
@@ -131,7 +111,6 @@ _TIMING_KEYS = frozenset({
     "scipy_solve_reduction_pct", "bnb_wall_reduction_pct",
     "stage_seconds", "equiv_wall_seconds",
     "jobs_per_sec", "latency_p50", "latency_p95", "service_jobs_per_sec",
-    "bitdeps_speedup", "cutenum_speedup",
 })
 
 
@@ -417,154 +396,6 @@ def _run_partition_task(task: _BenchTask) -> dict[str, Any]:
     return record
 
 
-def _kernel_graph(name):
-    from ..designs.fullsize import FULLSIZE
-
-    spec = BENCHMARKS.get(name) or FULLSIZE[name]
-    graph, _ = narrow_graph(spec.build())
-    return graph
-
-
-def _cone_boundary(graph, target: int, depth: int):
-    """Boundary of the depth-``depth`` combinational cone under ``target``.
-
-    Walks distance-0 operand edges; a node becomes a boundary leaf when
-    the depth budget runs out or it cannot be expanded through DEP
-    (input, black box, loop-carried operands). Constants are skipped —
-    the support calculators treat interior constants as zero-support.
-    Returns ``None`` for targets that are not themselves expandable.
-    """
-    from ..ir.graph import OpKind
-
-    node = graph.node(target)
-    if (node.kind in (OpKind.INPUT, OpKind.CONST) or node.is_blackbox
-            or any(op.distance for op in node.operands)):
-        return None
-    boundary: set[int] = set()
-
-    def walk(nid: int, d: int) -> None:
-        n = graph.node(nid)
-        if n.kind is OpKind.CONST:
-            return
-        if (d >= depth or n.kind is OpKind.INPUT or n.is_blackbox
-                or any(op.distance for op in n.operands)):
-            boundary.add(nid)
-            return
-        for op in n.operands:
-            walk(op.source, d + 1)
-
-    for op in node.operands:
-        walk(op.source, 1)
-    return boundary
-
-
-def _run_bitdeps_task(task: _BenchTask) -> dict[str, Any]:
-    """Support-mask sweep: every node against its depth-1/2/3 cones.
-
-    The two arms run the packed uint64 kernel and the big-int reference
-    over identical cones; each accumulates the per-target max support
-    through its native popcount path (what the cut enumerator's
-    K-feasibility check pays for). The checksum is part of the canonical
-    record, so any divergence between the arms fails the bench diff.
-    """
-    from ..bitdeps import PackedSupportCalculator, SupportCalculator, popcount
-    from ..bitdeps.packed import max_popcount
-    from ..errors import CutError
-
-    graph = _kernel_graph(task.name)
-    record: dict[str, Any] = {
-        "kind": task.kind, "name": task.name, "method": task.method,
-        "backend": task.backend, "arm": task.arm,
-        "nodes": len(graph.node_ids),
-    }
-    vectorized = task.arm == "vectorized"
-    cones = [(nid, b) for nid in graph.topological_order()
-             for depth in (1, 2, 3)
-             if (b := _cone_boundary(graph, nid, depth))]
-
-    def sweep() -> int:
-        calc = (PackedSupportCalculator(graph) if vectorized
-                else SupportCalculator(graph))
-        checksum = 0
-        for nid, boundary in cones:
-            try:
-                if vectorized:
-                    checksum += max_popcount(
-                        calc.supports_rows(nid, boundary, None))
-                else:
-                    checksum += max(
-                        map(popcount, calc.supports(nid, boundary)),
-                        default=0)
-            except CutError:
-                # Some deeper cones are illegal (e.g. reconvergence
-                # through a black box); both arms raise on exactly the
-                # same targets.
-                checksum -= 1
-        return checksum
-
-    wall, checksum = _best_of(sweep)
-    record.update(
-        ok=True, optimal=True,
-        cones=len(cones), checksum=checksum,
-        wall_seconds=wall,
-    )
-    return record
-
-
-def _best_of(workload, min_elapsed: float = 0.5, max_reps: int = 3):
-    """(best wall, result) over adaptive repeats of ``workload``.
-
-    Fast workloads repeat up to ``max_reps`` times and keep the minimum
-    wall time — the sub-100ms kernel arms would otherwise measure pool
-    contention, not the kernel. A single rep that already spends
-    ``min_elapsed`` is trusted as-is, so the slow reference arms on the
-    FULLSIZE subjects never triple their cost.
-    """
-    best = float("inf")
-    total = 0.0
-    result = None
-    for _ in range(max_reps):
-        t0 = time.perf_counter()
-        result = workload()
-        dt = time.perf_counter() - t0
-        best = min(best, dt)
-        total += dt
-        if total >= min_elapsed:
-            break
-    return best, result
-
-
-def _run_cutenum_task(task: _BenchTask) -> dict[str, Any]:
-    """Full cut enumeration with the chosen kernel implementation."""
-    from ..cuts.enumerate import CutEnumerator
-
-    graph = _kernel_graph(task.name)
-    record: dict[str, Any] = {
-        "kind": task.kind, "name": task.name, "method": task.method,
-        "backend": task.backend, "arm": task.arm,
-        "nodes": len(graph.node_ids),
-    }
-
-    def enumerate_once():
-        enumerator = CutEnumerator(graph, task.device.k,
-                                   max_cuts=task.config.max_cuts,
-                                   vectorize=task.arm == "vectorized")
-        cuts = enumerator.run()
-        stats = enumerator.stats
-        return (stats.total_selectable, stats.candidates_generated,
-                sum(len(cs) for cs in cuts.values()))
-
-    wall, (selectable, candidates, checksum) = _best_of(enumerate_once)
-    record.update(
-        ok=True, optimal=True,
-        cuts=selectable,
-        candidates=candidates,
-        checksum=checksum,
-        wall_seconds=wall,
-    )
-    return record
-
-
 def _run_service_task(task: _BenchTask) -> dict[str, Any]:
     """Throughput/latency of the job server on a fuzz-sourced load.
 
@@ -655,10 +486,6 @@ def _run_bench_task(task: _BenchTask) -> dict[str, Any]:
         return _run_partition_task(task)
     if task.kind == "service":
         return _run_service_task(task)
-    if task.kind == "bitdeps":
-        return _run_bitdeps_task(task)
-    if task.kind == "cutenum":
-        return _run_cutenum_task(task)
     return _run_design_task(task)
 
 
@@ -690,17 +517,6 @@ class BenchResult:
             if "optimized" in arms and "cold" in arms and pred(arms["cold"]):
                 pairs.append((arms["optimized"], arms["cold"]))
         return pairs
-
-    def _kernel_speedup(self, kind: str) -> float | None:
-        """Geomean reference/vectorized wall ratio for a kernel kind."""
-        keyed: dict[str, dict[str, dict]] = {}
-        for rec in self.records:
-            if rec.get("kind") == kind and rec.get("ok"):
-                keyed.setdefault(rec["name"], {})[rec["arm"]] = rec
-        pairs = [(arms["vectorized"], arms["reference"])
-                 for _, arms in sorted(keyed.items())
-                 if "vectorized" in arms and "reference" in arms]
-        return self._geomean_speedup(pairs, "wall_seconds")
 
     @staticmethod
     def _geomean_speedup(pairs: list[tuple[dict, dict]],
@@ -738,11 +554,6 @@ class BenchResult:
                 100.0 * (1.0 - 1.0 / bnb_speed), 1)
         if micro_speed is not None:
             out["micro_wall_speedup"] = round(micro_speed, 3)
-        for kind, key in (("bitdeps", "bitdeps_speedup"),
-                          ("cutenum", "cutenum_speedup")):
-            speed = self._kernel_speedup(kind)
-            if speed is not None:
-                out[key] = round(speed, 3)
         equiv_recs = [r for r in self.records if r["kind"] == "equiv"]
         if equiv_recs:
             out["equiv_proved"] = sorted(r["name"] for r in equiv_recs
@@ -858,23 +669,6 @@ def run_bench(designs: list[str] | None = None, device: Device = XC7,
                            partition_size=12 if name in BENCHMARKS else 48)
         tasks.append(_BenchTask("partition", name, "milp-map", "scipy",
                                 "partition", device, part_cfg))
-    # Kernel arms: the vectorized numpy hot paths vs their pure-Python
-    # references over identical workloads (docs/performance.md). The
-    # full-size subjects only join the default full matrix — an explicit
-    # design list keeps its exact scope, and quick stays CI-sized.
-    kernel_names = list(names)
-    cutenum_names = list(names)
-    if not designs and not quick:
-        kernel_names += list(KERNEL_FULLSIZE)
-        cutenum_names += list(CUTENUM_FULLSIZE)
-    for name in kernel_names:
-        for arm in ("vectorized", "reference"):
-            tasks.append(_BenchTask("bitdeps", name, "kernel", "packed",
-                                    arm, device, config))
-    for name in cutenum_names:
-        for arm in ("vectorized", "reference"):
-            tasks.append(_BenchTask("cutenum", name, "kernel", "cuts",
-                                    arm, device, config))
     # The service arm (job server over a fuzz load; docs/service.md) is
     # part of the standard matrix, like the microbenches.
     tasks.append(_BenchTask("service", "fuzz-load", "milp-map", "service",
@@ -958,8 +752,7 @@ def format_bench(result: BenchResult) -> str:
     summary = result.summary()
     lines.append("")
     for key in ("scipy_solve_speedup", "bnb_wall_speedup",
-                "micro_wall_speedup", "bitdeps_speedup",
-                "cutenum_speedup"):
+                "micro_wall_speedup"):
         if key in summary:
             lines.append(f"{key}: {summary[key]:.2f}x")
     if "equiv_wall_seconds" in summary:

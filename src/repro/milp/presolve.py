@@ -54,9 +54,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
-from ..vectorize import vectorize_enabled
 from .model import Constraint, LinExpr, Model, Solution, SolveStatus
 
 __all__ = ["presolve", "Postsolve", "PresolveStats"]
@@ -172,7 +169,7 @@ class Postsolve:
 class _Row:
     """One constraint in range form: ``lo <= sum(a_j x_j) <= hi``."""
 
-    __slots__ = ("coeffs", "lo", "hi", "name", "alive", "version")
+    __slots__ = ("coeffs", "lo", "hi", "name", "alive")
 
     def __init__(self, coeffs: dict[int, float], lo: float, hi: float,
                  name: str) -> None:
@@ -181,55 +178,6 @@ class _Row:
         self.hi = hi
         self.name = name
         self.alive = True
-        # Bumped whenever coeffs change (substitution, coefficient
-        # tightening) so cached array snapshots know to rebuild.
-        self.version = 0
-
-
-#: Rows at or above this many nonzeros use the vectorized activity /
-#: propagation kernels; smaller rows stay on the scalar path (array
-#: setup overhead dominates below this — the scheduling models' median
-#: row is under a dozen nonzeros, so only the wide chain/def rows
-#: qualify). Both paths are bit-identical, so the threshold is a pure
-#: tuning knob.
-_VEC_MIN = 32
-
-
-class _RowArrays:
-    """Array snapshot of one row's coefficients (dict order preserved).
-
-    ``idx``/``a`` mirror ``row.coeffs.items()`` at a given ``version``;
-    ``glist`` lists the one-hot groups usable on this row (first
-    appearance order, defining row excluded) with the member positions;
-    ``tc_pos`` holds the statically coefficient-tightenable positions
-    (integer kind, not a group member).
-    """
-
-    __slots__ = ("idx", "jl", "a", "pos", "glist", "tc_pos")
-
-
-def _build_row_arrays(row: _Row, ridx: int, group_of: dict[int, int],
-                      group_def_row: list[int],
-                      is_int_arr: "np.ndarray") -> _RowArrays:
-    m = len(row.coeffs)
-    ce = _RowArrays()
-    ce.jl = list(row.coeffs)
-    ce.idx = np.fromiter(row.coeffs.keys(), dtype=np.intp, count=m)
-    ce.a = np.fromiter(row.coeffs.values(), dtype=np.float64, count=m)
-    ce.pos = ce.a > 0
-    gseen: dict[int, list[int]] = {}
-    in_group = np.zeros(m, dtype=bool)
-    for p, j in enumerate(row.coeffs):
-        gid = group_of.get(j)
-        if gid is None:
-            continue
-        in_group[p] = True
-        if group_def_row[gid] != ridx:
-            gseen.setdefault(gid, []).append(p)
-    ce.glist = [(gid, np.asarray(ps, dtype=np.intp))
-                for gid, ps in gseen.items()]
-    ce.tc_pos = np.flatnonzero(is_int_arr[ce.idx] & ~in_group)
-    return ce
 
 
 def _row_from_constraint(con: Constraint) -> _Row:
@@ -261,19 +209,13 @@ class _Activity:
         self.group_max: dict[int, float] = {}
 
 
-def presolve(model: Model,
-             vectorize: bool | None = None) -> tuple[Model, Postsolve]:
+def presolve(model: Model) -> tuple[Model, Postsolve]:
     """Reduce ``model``; returns ``(reduced_model, postsolve)``.
 
     The input model is never mutated. When presolve proves the model
     infeasible, ``postsolve.status`` is ``SolveStatus.INFEASIBLE`` and
     the returned reduced model is empty — callers must check the status
     before solving (``Model.solve(presolve=True)`` does).
-
-    ``vectorize`` selects the numpy inner kernels for activity bounds,
-    bound propagation and coefficient tightening (``None`` defers to
-    ``REPRO_VECTORIZE``). Both paths produce bit-identical reduced
-    models, stats and postsolve data; the flag only trades speed.
     """
     post = Postsolve(original=model)
     stats = post.stats
@@ -318,23 +260,6 @@ def presolve(model: Model,
             group_of[j] = gid
     stats.one_hot_groups = len(group_left)
 
-    use_vec = vectorize_enabled(vectorize)
-    # The bound lists stay the only copy (scalar code keeps cheap
-    # Python-float arithmetic and there is no write-through to pay on
-    # every tighten); vector kernels gather the few bounds they need
-    # per row instead.
-    is_int_arr = np.asarray(is_int, dtype=bool) if use_vec else None
-
-    row_cache: dict[int, tuple[int, _RowArrays]] = {}
-
-    def row_arrays(r: int, row: _Row) -> _RowArrays:
-        hit = row_cache.get(r)
-        if hit is not None and hit[0] == row.version:
-            return hit[1]
-        ce = _build_row_arrays(row, r, group_of, group_def_row, is_int_arr)
-        row_cache[r] = (row.version, ce)
-        return ce
-
     def infeasible() -> tuple[Model, Postsolve]:
         post.status = SolveStatus.INFEASIBLE
         stats.vars_after = 0
@@ -366,7 +291,6 @@ def presolve(model: Model,
         for r in list(columns.get(j, ())):
             row = rows[r]
             coeff = row.coeffs.pop(j, 0.0)
-            row.version += 1
             if coeff:
                 if math.isfinite(row.lo):
                     row.lo -= coeff * value
@@ -399,184 +323,7 @@ def presolve(model: Model,
                 dirty.add(r)
         return True
 
-    def activity_vec(row: _Row, ridx: int) -> _Activity:
-        """Array twin of :func:`activity` — bit-identical results.
-
-        Per-entry contributions are two elementwise products; the sums
-        use ``cumsum`` (a strictly sequential left fold, so the float
-        rounding matches the scalar accumulation term for term). The
-        leading ``0.0 +`` mirrors the scalar path's ``0.0`` seed, which
-        matters only for the sign of an exactly-zero total.
-        """
-        ce = row_arrays(ridx, row)
-        act = _Activity()
-        live = [(gid, pos) for gid, pos in ce.glist if not group_done[gid]]
-        plain = None
-        if live:
-            as_group = np.zeros(len(ce.idx), dtype=bool)
-            for _, pos in live:
-                as_group[pos] = True
-            plain = ~as_group
-        with np.errstate(all="ignore"):
-            lo_g = np.array([lo[j] for j in ce.jl], dtype=np.float64)
-            hi_g = np.array([hi[j] for j in ce.jl], dtype=np.float64)
-            cmin = np.where(ce.pos, ce.a * lo_g, ce.a * hi_g)
-            cmax = np.where(ce.pos, ce.a * hi_g, ce.a * lo_g)
-            if plain is not None:
-                cmin = cmin[plain]
-                cmax = cmax[plain]
-            min_act = 0.0 + cmin.cumsum()[-1] if cmin.size else 0.0
-            max_act = 0.0 + cmax.cumsum()[-1] if cmax.size else 0.0
-        for gid, pos in live:
-            cs = ce.a[pos]
-            cs_min, cs_max = cs.min(), cs.max()
-            if len(cs) == group_left[gid]:
-                gmin, gmax = cs_min, cs_max
-            else:
-                # The selected member may sit outside this row.
-                gmin, gmax = min(0.0, cs_min), max(0.0, cs_max)
-            act.group_min[gid] = gmin
-            act.group_max[gid] = gmax
-            min_act += gmin
-            max_act += gmax
-        act.min_act = min_act
-        act.max_act = max_act
-        return act
-
-    def propagate_rest(row: _Row, act: _Activity, ce: _RowArrays,
-                       start: int) -> bool:
-        """Scalar propagation over the snapshot tail ``ce[start:]``.
-
-        Entered when a substitution fires mid-row: ``fix_var`` rewrote
-        the row's coefficients and rhs, so the batched residuals are
-        stale — exactly like the scalar loop, the remaining entries must
-        read the live row state.
-        """
-        for p in range(start, len(ce.idx)):
-            j = int(ce.idx[p])
-            a = float(ce.a[p])
-            if j in fixed:
-                continue
-            gid = group_of.get(j)
-            if gid is not None and gid in act.group_min:
-                rest_min = act.min_act - act.group_min[gid]
-                rest_max = act.max_act - act.group_max[gid]
-                cannot_be_one = (
-                    (math.isfinite(row.hi) and math.isfinite(rest_min)
-                     and a > row.hi - rest_min + _FEAS_TOL)
-                    or (math.isfinite(row.lo) and math.isfinite(rest_max)
-                        and a < row.lo - rest_max - _FEAS_TOL)
-                )
-                if cannot_be_one:
-                    if not tighten(j, None, 0.0):
-                        return False
-                continue
-            contrib_min = a * lo[j] if a > 0 else a * hi[j]
-            contrib_max = a * hi[j] if a > 0 else a * lo[j]
-            rest_min = act.min_act - contrib_min
-            rest_max = act.max_act - contrib_max
-            new_lo = new_hi = None
-            if math.isfinite(row.hi) and math.isfinite(rest_min):
-                implied = (row.hi - rest_min) / a
-                if a > 0:
-                    new_hi = implied
-                else:
-                    new_lo = implied
-            if math.isfinite(row.lo) and math.isfinite(rest_max):
-                implied = (row.lo - rest_max) / a
-                if a > 0:
-                    new_lo = implied
-                else:
-                    new_hi = implied
-            if not tighten(j, new_lo, new_hi):
-                return False
-        return True
-
-    def propagate_vec(row: _Row, ridx: int, act: _Activity) -> bool:
-        """Batched bound propagation; False signals infeasibility.
-
-        Computes every entry's implied bounds and the tighten trigger
-        condition in one pass, then calls :func:`tighten` only for
-        entries that will actually change something — in snapshot order,
-        so side effects (stats, dirty sets, fixes) replay exactly. Valid
-        because entry ``j``'s residuals depend only on the batch-start
-        activity and ``j``'s own bounds: a tighten of an earlier entry
-        cannot perturb a later one. A ``fix_var`` can (it rewrites the
-        row), so the first fix falls back to :func:`propagate_rest`.
-        """
-        ce = row_arrays(ridx, row)
-        m = len(ce.idx)
-        a_arr = ce.a
-        rlo, rhi = row.lo, row.hi
-        lo_g = np.array([lo[j] for j in ce.jl], dtype=np.float64)
-        hi_g = np.array([hi[j] for j in ce.jl], dtype=np.float64)
-        false_ = np.zeros(m, dtype=bool)
-        as_group = np.zeros(m, dtype=bool)
-        gmin_e = gmax_e = None
-        if ce.glist and act.group_min:
-            gmin_e = np.zeros(m)
-            gmax_e = np.zeros(m)
-            for gid, pos in ce.glist:
-                gm = act.group_min.get(gid)
-                if gm is not None:
-                    as_group[pos] = True
-                    gmin_e[pos] = gm
-                    gmax_e[pos] = act.group_max[gid]
-        with np.errstate(all="ignore"):
-            cannot = false_
-            if gmin_e is not None:
-                rest_min_g = act.min_act - gmin_e
-                rest_max_g = act.max_act - gmax_e
-                c = np.zeros(m, dtype=bool)
-                if math.isfinite(rhi):
-                    c |= (np.isfinite(rest_min_g)
-                          & (a_arr > (rhi - rest_min_g) + _FEAS_TOL))
-                if math.isfinite(rlo):
-                    c |= (np.isfinite(rest_max_g)
-                          & (a_arr < (rlo - rest_max_g) - _FEAS_TOL))
-                cannot = as_group & c
-            cmin = np.where(ce.pos, a_arr * lo_g, a_arr * hi_g)
-            cmax = np.where(ce.pos, a_arr * hi_g, a_arr * lo_g)
-            rest_min = act.min_act - cmin
-            rest_max = act.max_act - cmax
-            if math.isfinite(rhi):
-                v1 = np.isfinite(rest_min)
-                imp1 = (rhi - rest_min) / a_arr
-            else:
-                v1, imp1 = false_, 0.0
-            if math.isfinite(rlo):
-                v2 = np.isfinite(rest_max)
-                imp2 = (rlo - rest_max) / a_arr
-            else:
-                v2, imp2 = false_, 0.0
-            valid_hi = np.where(ce.pos, v1, v2)
-            new_hi = np.where(ce.pos, imp1, imp2)
-            valid_lo = np.where(ce.pos, v2, v1)
-            new_lo = np.where(ce.pos, imp2, imp1)
-            flag = ~as_group & (
-                (valid_lo & (new_lo > lo_g + _MIN_IMPROVE))
-                | (valid_hi & (new_hi < hi_g - _MIN_IMPROVE)))
-        for p in np.flatnonzero(cannot | flag):
-            p = int(p)
-            j = int(ce.idx[p])
-            if j in fixed:
-                continue
-            n_fixed = len(fixed)
-            if cannot[p]:
-                ok = tighten(j, None, 0.0)
-            else:
-                ok = tighten(j,
-                             float(new_lo[p]) if valid_lo[p] else None,
-                             float(new_hi[p]) if valid_hi[p] else None)
-            if not ok:
-                return False
-            if len(fixed) != n_fixed:
-                return propagate_rest(row, act, ce, p + 1)
-        return True
-
     def activity(row: _Row, ridx: int) -> _Activity:
-        if use_vec and len(row.coeffs) >= _VEC_MIN:
-            return activity_vec(row, ridx)
         act = _Activity()
         grouped: dict[int, list[float]] = {}
         for j, a in row.coeffs.items():
@@ -661,17 +408,6 @@ def presolve(model: Model,
             # Bound propagation: residual activity bounds imply bounds
             # on each variable in the row.
             shape = (len(row.coeffs), row.lo, row.hi)
-            if use_vec and len(row.coeffs) >= _VEC_MIN:
-                if not propagate_vec(row, r, act):
-                    return infeasible()
-                if row.alive and row.coeffs:
-                    if (len(row.coeffs), row.lo, row.hi) != shape:
-                        act = activity(row, r)
-                    ce = (row_arrays(r, row)
-                          if len(row.coeffs) >= _VEC_MIN else None)
-                    _tighten_coefficients(row, act, lo, hi, is_int,
-                                          fixed, group_of, stats, ce)
-                continue
             for j, a in list(row.coeffs.items()):
                 if j in fixed:
                     continue
@@ -803,8 +539,7 @@ def presolve(model: Model,
 
 def _tighten_coefficients(row: _Row, act: _Activity, lo, hi, is_int,
                           fixed: dict[int, float], group_of: dict[int, int],
-                          stats: PresolveStats,
-                          ce: _RowArrays | None = None) -> None:
+                          stats: PresolveStats) -> None:
     """Savelsbergh coefficient reduction for binaries in one-sided rows.
 
     For ``a_j x_j + s <= b`` with ``x_j`` binary, ``a_j > 0`` and
@@ -827,22 +562,9 @@ def _tighten_coefficients(row: _Row, act: _Activity, lo, hi, is_int,
     if not math.isfinite(max_act):
         return
 
-    if ce is not None:
-        # Array prefilter: the static candidate set (integer kind, not a
-        # group member) is cached on the row snapshot; the dynamic
-        # {0, 1}-domain check is a vector gather. The surviving loop is
-        # sequential by construction — each tightening updates the
-        # running (max_act, b) pair that the next candidate must see.
-        jl, a_list = ce.jl, ce.a
-        items = []
-        for p in ce.tc_pos:
-            j = jl[p]
-            if lo[j] == 0.0 and hi[j] == 1.0:
-                items.append((j, float(a_list[p])))
-    else:
-        items = [(j, a) for j, a in row.coeffs.items()
-                 if not (j in fixed or not is_int[j] or lo[j] != 0.0
-                         or hi[j] != 1.0 or j in group_of)]
+    items = [(j, a) for j, a in row.coeffs.items()
+             if not (j in fixed or not is_int[j] or lo[j] != 0.0
+                     or hi[j] != 1.0 or j in group_of)]
 
     changed = False
     for j, a in items:
@@ -876,4 +598,3 @@ def _tighten_coefficients(row: _Row, act: _Activity, lo, hi, is_int,
             row.hi = float(sign * b)
         else:
             row.lo = float(sign * b)
-        row.version += 1

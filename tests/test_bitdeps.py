@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bitdeps import SupportCalculator, dep_bits, popcount, word_dep_sources
+from repro.bitdeps import (
+    PackedSupportCalculator,
+    SupportCalculator,
+    dep_bits,
+    popcount,
+    word_dep_sources,
+)
+from repro.bitdeps.packed import ints_to_rows, max_popcount, rows_to_ints
 from repro.designs.synthetic import random_dfg
 from repro.errors import CutError
 from repro.ir import DFGBuilder, OpKind
@@ -216,3 +223,182 @@ def test_property_support_consistent_with_flip_simulation(seed):
                         f"bit {j} of node {target} changed when flipping "
                         f"{inp.name}[{bit}] outside its support"
                     )
+
+
+def packed_cone(graph, target, boundary):
+    """Compose :meth:`PackedSupportCalculator.transfer` over a cone.
+
+    Boundary nodes enter as their leaf rows and constants are absorbed,
+    exactly as the cut enumerator composes the rows of the cuts it merges.
+    """
+    calc = PackedSupportCalculator(graph)
+    memo = {nid: calc.leaf_rows(nid) for nid in boundary}
+
+    def rows(nid):
+        if nid not in memo:
+            node = graph.node(nid)
+            memo[nid] = calc.transfer(node, {
+                slot: rows(op.source)
+                for slot, op in enumerate(node.operands)
+                if graph.node(op.source).kind is not OpKind.CONST
+            })
+        return memo[nid]
+
+    return rows_to_ints(rows(target))
+
+
+def assert_packed_matches_reference(graph, target, boundary):
+    """The packed masks equal ``SupportCalculator.supports`` (or both raise)."""
+    try:
+        want = SupportCalculator(graph).supports(target, boundary)
+    except CutError:
+        with pytest.raises(CutError):
+            packed_cone(graph, target, boundary)
+        return
+    assert packed_cone(graph, target, boundary) == want
+
+
+class TestPackedTransfer:
+    """The packed DEP transfer against the big-int reference, per op class.
+
+    Each sweep builds a one-op cone per width and compares the transfer
+    over the operands' leaf rows with a from-scratch
+    ``SupportCalculator.supports`` of the same cone.
+    """
+
+    WIDTHS = (1, 2, 3, 4, 7)
+
+    def _sweep(self, make):
+        for width in self.WIDTHS:
+            b = DFGBuilder("t", width=width)
+            value, boundary = make(b, width)
+            b.output(value, "o")
+            graph = b.build()
+            assert_packed_matches_reference(graph, value.nid,
+                                            [v.nid for v in boundary])
+
+    @staticmethod
+    def _two_input(b, op):
+        a, c = b.input("a"), b.input("c")
+        return op(a, c), [a, c]
+
+    def test_bitwise(self):
+        for op in (lambda a, c: a & c, lambda a, c: a | c,
+                   lambda a, c: a ^ c):
+            self._sweep(lambda b, w, op=op: self._two_input(b, op))
+
+    def test_not(self):
+        def make(b, w):
+            a = b.input("a")
+            return ~a, [a]
+        self._sweep(make)
+
+    def test_mux(self):
+        def make(b, w):
+            sel = b.input("sel", 1)
+            a, c = b.input("a"), b.input("c")
+            return b.mux(sel, a, c), [sel, a, c]
+        self._sweep(make)
+
+    def test_shifts(self):
+        for amount in (0, 1, 3):
+            def make(b, w, amount=amount):
+                a = b.input("a")
+                return a << amount, [a]
+            self._sweep(make)
+
+            def make(b, w, amount=amount):
+                a = b.input("a")
+                return a >> amount, [a]
+            self._sweep(make)
+
+    def test_variable_shifts(self):
+        def make(b, w):
+            a, s = b.input("a"), b.input("s")
+            return b.op(OpKind.VSHL, a, s, width=w), [a, s]
+        self._sweep(make)
+
+        def make(b, w):
+            a, s = b.input("a"), b.input("s")
+            return b.op(OpKind.VSHR, a, s, width=w), [a, s]
+        self._sweep(make)
+
+    def test_resize_and_slice(self):
+        def make(b, w):
+            a = b.input("a")
+            return a.zext(w + 2), [a]
+        self._sweep(make)
+
+        def make(b, w):
+            a = b.input("a", w + 2)
+            return a.trunc(w), [a]
+        self._sweep(make)
+
+        def make(b, w):
+            a = b.input("a", w + 1)
+            return a.slice(1, w), [a]
+        self._sweep(make)
+
+    def test_concat(self):
+        def make(b, w):
+            a, c = b.input("a"), b.input("c")
+            return b.concat(a, c), [a, c]
+        self._sweep(make)
+
+    def test_arith(self):
+        # MUL is a black box: no DEP, so both sides must refuse the cone.
+        for op in (lambda a, c: a + c, lambda a, c: a - c,
+                   lambda a, c: a * c):
+            self._sweep(lambda b, w, op=op: self._two_input(b, op))
+
+        def make(b, w):
+            a = b.input("a")
+            return -a, [a]
+        self._sweep(make)
+
+    def test_compares(self):
+        for op in ("eq", "ne", "lt", "ge", "slt", "sge"):
+            def make(b, w, op=op):
+                a, c = b.input("a"), b.input("c")
+                return getattr(a, op)(c), [a, c]
+            self._sweep(make)
+
+    def test_sign_test_refinement(self):
+        # x >= 0 (signed) reads only the MSB — the refined DEP rule.
+        def make(b, w):
+            a = b.input("a")
+            return a.sge(0), [a]
+        self._sweep(make)
+
+    def test_interior_constants(self):
+        def make(b, w):
+            a = b.input("a")
+            return a ^ b.const(1), [a]
+        self._sweep(make)
+
+    def test_deep_cone(self):
+        b = DFGBuilder("t", width=4)
+        a, c, d = b.input("a"), b.input("c"), b.input("d")
+        x = (a + c) ^ (c >> 1)
+        y = b.mux(d.bit(0), x, a - d)
+        b.output(y, "o")
+        graph = b.build()
+        assert_packed_matches_reference(graph, y.nid, [a.nid, c.nid, d.nid])
+        # intermediate boundary: stop the cone at x
+        assert_packed_matches_reference(graph, y.nid, [x.nid, a.nid, d.nid])
+
+    def test_random_graphs(self):
+        for seed in range(25):
+            graph = random_dfg(seed, ops=12, width=5, inputs=3,
+                               recurrences=0, allow_arith=True)
+            target = graph.outputs[0].operands[0].source
+            if graph.node(target).kind in (OpKind.INPUT, OpKind.CONST):
+                continue
+            assert_packed_matches_reference(
+                graph, target, [n.nid for n in graph.inputs])
+
+    def test_round_trip_and_popcounts(self):
+        masks = [0, 1, (1 << 64) - 1, 1 << 200, (1 << 130) | 7]
+        rows = ints_to_rows(masks, words=4)
+        assert rows_to_ints(rows) == masks
+        assert max_popcount(rows) == max(popcount(m) for m in masks)

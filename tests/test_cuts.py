@@ -1,13 +1,15 @@
 """Unit + property tests for word-level cut enumeration (Algorithm 1)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.bitdeps import SupportCalculator
+from repro.bitdeps import SupportCalculator, dep_bits
 from repro.cuts import Cut, CutEnumerator, enumerate_cuts
+from repro.designs import BENCHMARKS
 from repro.designs.synthetic import random_dfg
 from repro.errors import CutError
 from repro.ir import DFGBuilder, OpKind
+from repro.ir.transforms import narrow_graph
 
 
 class TestCutObject:
@@ -124,20 +126,66 @@ class TestEnumeration:
         assert any(c.max_support == 1 for c in cuts[sge.nid].selectable)
 
 
+def registered_cut_masks(calc, graph, cut):
+    """Masks of a cut with registered (distance >= 1) entries, per bit.
+
+    ``SupportCalculator.supports`` refuses loop-carried edges, so this
+    walks DEP bit by bit itself: an operand absorbed into the interior
+    over a distance-0 edge recurses, any other operand enters as the
+    leaf bits of its source at the edge's distance.
+    """
+    memo = {}
+
+    def masks(nid):
+        if nid not in memo:
+            node = graph.node(nid)
+            memo[nid] = [0] * node.width
+            for j in range(node.width):
+                for entry in dep_bits(graph, node, j):
+                    op = node.operands[entry.slot]
+                    src = graph.node(op.source)
+                    if src.kind is OpKind.CONST:
+                        continue
+                    if op.distance == 0 and op.source in cut.interior:
+                        src_masks = masks(op.source)
+                    else:
+                        src_masks = calc.leaf_masks(op.source, op.distance)
+                    if entry.bit < len(src_masks):
+                        memo[nid][j] |= src_masks[entry.bit]
+        return memo[nid]
+
+    return masks(cut.root)
+
+
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6))
-def test_property_cut_masks_match_recomputed_supports(seed):
-    """Every merged cut's stored masks equal a from-scratch support
-    computation over its boundary (catches merge-composition bugs)."""
-    g = random_dfg(seed, ops=12, width=4, inputs=3, recurrences=0)
+@given(source=st.integers(min_value=0, max_value=10**6))
+@example(source="GSM")
+@example(source="DR")
+@example(source="CLZ")
+@example(source="GFMUL")
+@example(source="MT")
+def test_property_cut_masks_match_recomputed_supports(source):
+    """Every selectable cut's stored masks equal a from-scratch support
+    computation over its boundary (catches merge-composition bugs);
+    cuts with registered entries are recomputed by
+    :func:`registered_cut_masks`.
+
+    ``source`` is a random-graph seed or, as fixed inputs, a narrowed
+    benchmark enumerated at the shipped K=6 / max_cuts=12.
+    """
+    if isinstance(source, str):
+        g, _ = narrow_graph(BENCHMARKS[source].build())
+        cuts = enumerate_cuts(g, k=6, max_cuts=12)
+    else:
+        g = random_dfg(source, ops=12, width=4, inputs=3, recurrences=1)
+        cuts = enumerate_cuts(g, k=4, max_cuts=6)
     calc = SupportCalculator(g)
-    cuts = enumerate_cuts(g, k=4, max_cuts=6)
     checked = 0
     for nid, cs in cuts.items():
         node = g.node(nid)
         if not node.is_mappable or node.kind is OpKind.OUTPUT:
             continue
-        for cut in cs.merged:
+        for cut in cs.selectable:
             if cut.interior & cut.boundary:
                 # the cone *recomputes* a boundary node (duplication); its
                 # stored masks describe that implementation, while a
@@ -145,12 +193,16 @@ def test_property_cut_masks_match_recomputed_supports(seed):
                 # not comparable
                 continue
             try:
-                fresh = calc.supports(nid, cut.boundary)
+                if any(distance for _, distance in cut.entries):
+                    fresh = registered_cut_masks(calc, g, cut)
+                else:
+                    fresh = calc.supports(nid, cut.boundary)
             except CutError:
-                continue  # boundary contains registered entries
+                continue  # black-box root: no DEP to recompute
             assert tuple(fresh) == cut.masks, (nid, cut)
             checked += 1
-    assert checked >= 0
+    if isinstance(source, str):
+        assert checked > 0
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,9 +1,18 @@
 """Edge-path tests for the branch-and-bound backend and the LP writer."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.milp import Model, SolveStatus, write_lp
-from repro.milp.bnb import solve_branch_and_bound
+from repro.milp.bnb import (
+    _EPS,
+    _most_fractional,
+    _pick_branch_var,
+    solve_branch_and_bound,
+)
 
 
 class TestBnBEdges:
@@ -117,6 +126,65 @@ class TestBnBEdges:
         sol = solve_branch_and_bound(m, branch_hints=hints)
         assert sol.status == SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(13.0)
+
+
+def scalar_most_fractional(x, int_vars):
+    """Pure-Python reference for :func:`_most_fractional`."""
+    pick, best = None, 1.0
+    for idx in int_vars:
+        frac = abs(x[idx] - round(x[idx]))
+        if frac > _EPS and abs(frac - 0.5) < best:
+            pick, best = idx, abs(frac - 0.5)
+    return pick
+
+
+def scalar_pick_branch_var(x, int_vars, pc_sum, pc_count):
+    """Pure-Python reference for :func:`_pick_branch_var`: one strict
+    comparison per variable, so the first extremum wins every tie."""
+    unlearned, pick, best_score, best_frac = None, None, -1.0, 1.0
+    for idx in int_vars:
+        frac = abs(x[idx] - round(x[idx]))
+        if frac <= _EPS:
+            continue
+        f = x[idx] - math.floor(x[idx])
+        if not (pc_count[0][idx] > 0 and pc_count[1][idx] > 0):
+            if abs(frac - 0.5) < best_frac:
+                unlearned, best_frac = idx, abs(frac - 0.5)
+            continue
+        score = (max(_EPS, (pc_sum[0][idx] / pc_count[0][idx]) * f)
+                 * max(_EPS, (pc_sum[1][idx] / pc_count[1][idx]) * (1.0 - f)))
+        if score > best_score:
+            pick, best_score = idx, score
+    return unlearned if unlearned is not None else pick
+
+
+#: LP values mixing integral points, exact halves (ties) and fractions.
+_LP_VALUE = st.one_of(st.integers(-3, 3).map(float),
+                      st.integers(-3, 3).map(lambda k: k + 0.5),
+                      st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 24))
+def test_branching_matches_scalar_reference(data, n):
+    """The array branching picks exactly what the scalar loop picks, for
+    any LP point and pseudo-cost history (so the search tree is the same)."""
+    x = data.draw(st.lists(_LP_VALUE, min_size=n, max_size=n))
+    int_vars = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    row = st.lists(st.integers(1, 3), min_size=n, max_size=n)
+    counts = [data.draw(row), data.draw(row)]
+    # A few variables lack history on one side; often none do, so the
+    # pseudo-cost score path runs as often as the fallback.
+    for idx in data.draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        counts[data.draw(st.integers(0, 1))][idx] = 0
+    sums = data.draw(st.lists(st.lists(st.floats(0.0, 50.0), min_size=n,
+                                       max_size=n), min_size=2, max_size=2))
+    ivs = np.array(int_vars, dtype=np.intp)
+    xa = np.array(x)
+    assert _most_fractional(xa, ivs) == scalar_most_fractional(x, int_vars)
+    assert (_pick_branch_var(xa, ivs, np.array(sums, dtype=float),
+                             np.array(counts, dtype=float))
+            == scalar_pick_branch_var(x, int_vars, sums, counts))
 
 
 class TestLPWriterEdges:

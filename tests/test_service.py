@@ -100,6 +100,16 @@ def test_parse_request_accepts_minimal_design_payload():
     ({"design": "GSM", "lint": "yes"}, "lint must be"),
     ({"design": "GSM", "time_budget": -1}, "time_budget"),
     ({"design": "GSM", "client": ""}, "client"),
+    ({"design": "GSM", "config": {"time_limit": -1}}, "time_limit"),
+    ({"design": "GSM", "config": {"max_cuts": -1}}, "max_cuts"),
+    ({"design": "GSM", "config": {"narrow": "false"}}, "narrow"),
+    ({"design": "GSM", "config": {"backend": "gurobi"}}, "backend"),
+    ({"design": "GSM", "config": {"latency_margin": -5}}, "latency_margin"),
+    ({"design": "GSM", "config": {"time_limit": 0}}, "time_limit"),
+    ({"design": "GSM", "config": {"latency_bound": 0}}, "latency_bound"),
+    ({"design": "GSM", "config": {"mip_rel_gap": -0.1}}, "mip_rel_gap"),
+    ({"design": "GSM", "config": {"vectorize": False}},
+     "unknown config field"),
 ])
 def test_parse_request_rejects_malformed_payloads(payload, match):
     with pytest.raises(ProtocolError, match=match):

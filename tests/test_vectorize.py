@@ -1,78 +1,52 @@
-"""Differential parity tests: vectorized kernels vs pure-Python references.
+"""Packed cut enumeration vs a big-int reference kernel.
 
-The numpy inner kernels (packed DEP/support bitmasks, the cut-merge
-filter, presolve activity/propagation, BnB branching) must be
-*bit-identical* to the reference implementations — ``REPRO_VECTORIZE``
-and ``SchedulerConfig.vectorize`` trade speed only, never results
-(docs/performance.md). Every test here runs both implementations over
-the same inputs and asserts exact equality: support masks, cut sets,
-reduced models, solver solutions, and whole fuzz-campaign summaries.
+The cut enumerator composes supports on packed uint64 bitmask rows
+(:class:`~repro.bitdeps.packed.PackedSupportCalculator`). The scalar
+kernel it replaced -- one Python-int mask per output bit, composed by
+walking DEP bit by bit -- lives on here as the oracle: the enumerator is
+run once as shipped and once with the packed kernel swapped for the
+scalar one, and the two runs must agree exactly on every cut.
 """
 
 import pytest
 
-from repro.bitdeps import (
-    PackedSupportCalculator,
-    SupportCalculator,
-    popcount,
-)
-from repro.bitdeps.packed import ints_to_rows, max_popcount, rows_to_ints
-from repro.core.config import SchedulerConfig
-from repro.core.formulation import MappingAwareFormulation
-from repro.core.mapsched import MapScheduler
+import repro.cuts.enumerate as cut_enum
+from repro.bitdeps import SupportCalculator, dep_bits, popcount
 from repro.cuts.enumerate import CutEnumerator
 from repro.designs import BENCHMARKS
-from repro.designs.synthetic import random_dfg
-from repro.errors import CutError
-from repro.ir import DFGBuilder, OpKind
 from repro.ir.transforms import narrow_graph
-from repro.milp.presolve import presolve
-from repro.vectorize import vectorize_enabled
-
-# ----------------------------------------------------------------------
-# Helpers
-# ----------------------------------------------------------------------
 
 
-def both_supports(graph, target, boundary):
-    """(reference masks, packed masks) for one cone, or matched errors."""
-    ref = SupportCalculator(graph)
-    vec = PackedSupportCalculator(graph)
-    try:
-        ref_masks = ref.supports(target, boundary)
-        ref_err = None
-    except CutError as exc:
-        ref_masks, ref_err = None, str(exc)
-    try:
-        vec_masks = rows_to_ints(vec.supports_rows(target, boundary, None))
-        vec_err = None
-    except CutError as exc:
-        vec_masks, vec_err = None, str(exc)
-    assert ref_err == vec_err
-    return ref_masks, vec_masks
+class BigIntKernel(SupportCalculator):
+    """The scalar merge kernel behind the packed calculator's interface:
+    a cut's "rows" are its list of per-bit Python-int masks."""
+
+    words = 0  # no packing
+
+    def leaf_rows(self, nid, distance=0):
+        return self.leaf_masks(nid, distance)
+
+    def transfer(self, node, slot_masks):
+        masks = []
+        for j in range(node.width):
+            m = 0
+            for entry in dep_bits(self.graph, node, j):
+                src_masks = slot_masks.get(entry.slot)
+                if src_masks is None:
+                    continue  # constant operand: absorbed for free
+                if entry.bit < len(src_masks):
+                    m |= src_masks[entry.bit]
+            masks.append(m)
+        return masks
 
 
-def assert_cone_parity(graph, target, boundary):
-    ref_masks, vec_masks = both_supports(graph, target, boundary)
-    assert ref_masks == vec_masks
-
-
-def canon_model(m):
-    """Byte-exact canonical form of a model (repr keeps -0.0 vs 0.0)."""
-    out = [(m.name, m.sense)]
-    for v in m.variables:
-        out.append((v.index, v.name, v.kind, repr(v.lo), repr(v.hi)))
-    for c in m.constraints:
-        out.append((c.name, c.sense, repr(c.expr.constant),
-                    tuple((j, repr(a)) for j, a in c.expr.coeffs.items())))
-    out.append((repr(m.objective.constant),
-                tuple((j, repr(a)) for j, a in m.objective.coeffs.items())))
-    return out
-
-
-def canon_post(p):
-    return (tuple((j, repr(v)) for j, v in p.fixed.items()),
-            tuple(p.index_map.items()), p.status, p.stats.to_dict())
+def use_big_int_kernel(monkeypatch):
+    monkeypatch.setattr(cut_enum, "PackedSupportCalculator", BigIntKernel)
+    monkeypatch.setattr(cut_enum, "rows_to_ints", list)
+    monkeypatch.setattr(cut_enum, "ints_to_rows",
+                        lambda masks, words: list(masks))
+    monkeypatch.setattr(cut_enum, "max_popcount",
+                        lambda masks: max(map(popcount, masks), default=0))
 
 
 def canon_cuts(cut_sets):
@@ -85,278 +59,19 @@ def canon_cuts(cut_sets):
     }
 
 
-def scheduling_model(name, config):
-    graph, _ = narrow_graph(BENCHMARKS[name].build())
-    sched = MapScheduler(graph, config=config)
-    sched.enumerate()
-    formulation = MappingAwareFormulation(graph, sched.cuts, sched.device,
-                                          config, sched._horizon())
-    return formulation.build()
-
-
-# ----------------------------------------------------------------------
-# Environment toggle
-# ----------------------------------------------------------------------
-class TestVectorizeToggle:
-    def test_env_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTORIZE", raising=False)
-        assert vectorize_enabled(None) is True
-
-    def test_env_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTORIZE", "0")
-        assert vectorize_enabled(None) is False
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTORIZE", "0")
-        assert vectorize_enabled(True) is True
-        monkeypatch.setenv("REPRO_VECTORIZE", "1")
-        assert vectorize_enabled(False) is False
-
-    def test_excluded_from_fingerprint(self):
-        a = SchedulerConfig(vectorize=True).fingerprint_fields()
-        b = SchedulerConfig(vectorize=False).fingerprint_fields()
-        assert a == b
-        assert "vectorize" not in a
-
-
-# ----------------------------------------------------------------------
-# Packed bitmask DEP/support kernels
-# ----------------------------------------------------------------------
-class TestPackedSupportParity:
-    """Exhaustive small-width sweeps, one cone shape per DEP op class."""
-
-    WIDTHS = (1, 2, 3, 4, 7)
-
-    def _sweep(self, make):
-        """Build a one-op cone per width and compare all support masks."""
-        for width in self.WIDTHS:
-            b = DFGBuilder("t", width=width)
-            value, boundary = make(b, width)
-            b.output(value, "o")
-            graph = b.build()
-            assert_cone_parity(graph, value.nid,
-                               [v.nid for v in boundary])
-
-    def test_bitwise(self):
-        for op in (lambda a, c: a & c, lambda a, c: a | c,
-                   lambda a, c: a ^ c):
-            self._sweep(lambda b, w, op=op: self._two_input(b, op))
-
-    @staticmethod
-    def _two_input(b, op):
-        a, c = b.input("a"), b.input("c")
-        return op(a, c), [a, c]
-
-    def test_not(self):
-        def make(b, w):
-            a = b.input("a")
-            return ~a, [a]
-        self._sweep(make)
-
-    def test_mux(self):
-        def make(b, w):
-            sel = b.input("sel", 1)
-            a, c = b.input("a"), b.input("c")
-            return b.mux(sel, a, c), [sel, a, c]
-        self._sweep(make)
-
-    def test_shifts(self):
-        for amount in (0, 1, 3):
-            def make(b, w, amount=amount):
-                a = b.input("a")
-                return a << amount, [a]
-            self._sweep(make)
-
-            def make(b, w, amount=amount):
-                a = b.input("a")
-                return a >> amount, [a]
-            self._sweep(make)
-
-    def test_variable_shifts(self):
-        def make(b, w):
-            a, s = b.input("a"), b.input("s")
-            return b.op(OpKind.VSHL, a, s, width=w), [a, s]
-        self._sweep(make)
-
-        def make(b, w):
-            a, s = b.input("a"), b.input("s")
-            return b.op(OpKind.VSHR, a, s, width=w), [a, s]
-        self._sweep(make)
-
-    def test_resize_and_slice(self):
-        def make(b, w):
-            a = b.input("a")
-            return a.zext(w + 2), [a]
-        self._sweep(make)
-
-        def make(b, w):
-            a = b.input("a", w + 2)
-            return a.trunc(w), [a]
-        self._sweep(make)
-
-        def make(b, w):
-            a = b.input("a", w + 1)
-            return a.slice(1, w), [a]
-        self._sweep(make)
-
-    def test_concat(self):
-        def make(b, w):
-            a, c = b.input("a"), b.input("c")
-            return b.concat(a, c), [a, c]
-        self._sweep(make)
-
-    def test_arith(self):
-        for op in (lambda a, c: a + c, lambda a, c: a - c,
-                   lambda a, c: a * c):
-            self._sweep(lambda b, w, op=op: self._two_input(b, op))
-
-        def make(b, w):
-            a = b.input("a")
-            return -a, [a]
-        self._sweep(make)
-
-    def test_compares(self):
-        for op in ("eq", "ne", "lt", "ge", "slt", "sge"):
-            def make(b, w, op=op):
-                a, c = b.input("a"), b.input("c")
-                return getattr(a, op)(c), [a, c]
-            self._sweep(make)
-
-    def test_sign_test_refinement(self):
-        # x >= 0 (signed) reads only the MSB — the refined DEP rule.
-        def make(b, w):
-            a = b.input("a")
-            return a.sge(0), [a]
-        self._sweep(make)
-
-    def test_interior_constants(self):
-        def make(b, w):
-            a = b.input("a")
-            return a ^ b.const(1), [a]
-        self._sweep(make)
-
-    def test_deep_cone(self):
-        b = DFGBuilder("t", width=4)
-        a, c, d = b.input("a"), b.input("c"), b.input("d")
-        x = (a + c) ^ (c >> 1)
-        y = b.mux(d.bit(0), x, a - d)
-        b.output(y, "o")
-        graph = b.build()
-        assert_cone_parity(graph, y.nid, [a.nid, c.nid, d.nid])
-        # intermediate boundary: stop the cone at x
-        assert_cone_parity(graph, y.nid, [x.nid, a.nid, d.nid])
-
-    def test_error_parity_loop_carried(self):
-        b = DFGBuilder("t", width=4)
-        i = b.input("i")
-        r = b.recurrence("r")
-        v = i ^ r
-        v.feed(r)
-        b.output(v, "o")
-        graph = b.build()
-        ref_masks, vec_masks = both_supports(graph, v.nid, [i.nid])
-        assert ref_masks is None and vec_masks is None
-
-    def test_random_graphs(self):
-        for seed in range(25):
-            graph = random_dfg(seed, ops=12, width=5, inputs=3,
-                               recurrences=0, allow_arith=True)
-            target = graph.outputs[0].operands[0].source
-            node = graph.node(target)
-            if node.kind in (OpKind.INPUT, OpKind.CONST):
-                continue
-            boundary = [n.nid for n in graph.inputs]
-            ref_masks, vec_masks = both_supports(graph, target, boundary)
-            assert ref_masks == vec_masks
-
-    def test_round_trip_and_popcounts(self):
-        masks = [0, 1, (1 << 64) - 1, 1 << 200, (1 << 130) | 7]
-        rows = ints_to_rows(masks, words=4)
-        assert rows_to_ints(rows) == masks
-        assert max_popcount(rows) == max(popcount(m) for m in masks)
-
-
-# ----------------------------------------------------------------------
-# Cut enumeration
-# ----------------------------------------------------------------------
 class TestCutEnumerationParity:
     @pytest.mark.parametrize("name", ["GSM", "DR", "CLZ", "GFMUL", "MT"])
-    def test_cut_sets_identical(self, name):
+    def test_cut_sets_identical(self, name, monkeypatch):
         graph, _ = narrow_graph(BENCHMARKS[name].build())
-        runs = {}
-        for flag in (False, True):
-            enumerator = CutEnumerator(graph, 6, max_cuts=12,
-                                       vectorize=flag)
-            cuts = enumerator.run()
-            runs[flag] = (canon_cuts(cuts),
-                          enumerator.stats.candidates_generated,
-                          enumerator.stats.total_selectable)
-        assert runs[False] == runs[True]
-
-
-# ----------------------------------------------------------------------
-# Presolve
-# ----------------------------------------------------------------------
-class TestPresolveParity:
-    @pytest.mark.parametrize("name", ["DR", "CLZ", "GFMUL"])
-    def test_reduced_model_identical(self, name):
-        """Real scheduling formulations reduce byte-identically."""
-        config = SchedulerConfig(presolve=False, warm_start=False)
-        model = scheduling_model(name, config)
-        ref_model, ref_post = presolve(model, vectorize=False)
-        vec_model, vec_post = presolve(model, vectorize=True)
-        assert canon_model(ref_model) == canon_model(vec_model)
-        assert canon_post(ref_post) == canon_post(vec_post)
-
-
-# ----------------------------------------------------------------------
-# Branch and bound
-# ----------------------------------------------------------------------
-class TestBnbParity:
-    def test_same_solution_on_scheduling_model(self):
-        config = SchedulerConfig(presolve=False, warm_start=False,
-                                 backend="bnb", use_mapping=False)
-        model = scheduling_model("DR", config)
-        sols = {}
-        for flag in (False, True):
-            sol = model.solve(backend="bnb", time_limit=60.0,
-                              vectorize=flag)
-            sols[flag] = (sol.status, repr(sol.objective),
-                          tuple((j, repr(v))
-                                for j, v in sorted(sol.values.items())),
-                          dict(sol.stats))
-        ref, vec = sols[False], sols[True]
-        # stats include wall-clock-free node counts; identical branching
-        # decisions => identical trees => identical everything.
-        assert ref == vec
-
-
-# ----------------------------------------------------------------------
-# End-to-end: full flows and fuzz campaigns
-# ----------------------------------------------------------------------
-class TestEndToEndParity:
-    def test_schedule_identical_both_kernels(self):
-        graph, _ = narrow_graph(BENCHMARKS["DR"].build())
-        scheds = {}
-        for flag in (False, True):
-            config = SchedulerConfig(vectorize=flag)
-            schedule = MapScheduler(graph, config=config).schedule()
-            scheds[flag] = (schedule.ii, repr(schedule.objective),
-                            sorted(schedule.cycle.items()),
-                            sorted(schedule.start.items()),
-                            sorted((r, tuple(sorted(c.boundary)))
-                                   for r, c in schedule.cover.items()))
-        assert scheds[False] == scheds[True]
-
-    def test_fuzz_campaign_byte_identical(self):
-        from repro.fuzz.runner import run_campaign
-
-        summaries = {}
-        for flag in (False, True):
-            config = SchedulerConfig(ii=1, tcp=10.0, time_limit=20.0,
-                                     max_cuts=8, vectorize=flag)
-            summary = run_campaign(seeds=4, oracles=("narrow", "bitblast"),
-                                   config=config, jobs=1,
-                                   shrink_divergences=False)
-            summaries[flag] = summary.canonical_json()
-        assert summaries[False] == summaries[True]
+        runs = []
+        for big_int in (False, True):
+            with monkeypatch.context() as m:
+                if big_int:
+                    use_big_int_kernel(m)
+                enumerator = CutEnumerator(graph, 6, max_cuts=12)
+                cuts = enumerator.run()
+            assert isinstance(enumerator._pcalc, BigIntKernel) == big_int
+            runs.append((canon_cuts(cuts),
+                         enumerator.stats.candidates_generated,
+                         enumerator.stats.total_selectable))
+        assert runs[0] == runs[1]
