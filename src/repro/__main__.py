@@ -18,8 +18,6 @@ Usage::
                           [--method milp-map] [--format json]
     python -m repro fuzz [--seeds N] [--time-budget S] [--oracles a,b]
                          [--jobs N] [--corpus-dir DIR] [--format json]
-    python -m repro bench [DESIGN ...] [--quick] [--output FILE]
-                          [--baseline FILE] [--max-ratio X] [--jobs N]
     python -m repro serve [--host H] [--port P] [--workers N]
                           [--queue-limit N] [--quota N] [--time-budget S]
                           [--cache-dir DIR] [--jobs N]
@@ -147,13 +145,15 @@ def _build_parser() -> argparse.ArgumentParser:
                            metavar="R",
                            help="feedback re-cut rounds (default 2)")
 
-    runtime = argparse.ArgumentParser(add_help=False)
-    runtime.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="fan tasks over N worker processes "
-                              "(default: $REPRO_JOBS or 1 = serial)")
-    runtime.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="content-addressed flow-result cache; warm "
-                              "reruns perform zero MILP solves")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=None, metavar="N",
+                      help="fan tasks over N worker processes "
+                           "(default: $REPRO_JOBS or 1 = serial)")
+
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache-dir", default=None, metavar="DIR",
+                       help="content-addressed flow-result cache; warm "
+                            "reruns perform zero MILP solves")
 
     def device_parent(default: str) -> argparse.ArgumentParser:
         p = argparse.ArgumentParser(add_help=False)
@@ -165,13 +165,13 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = sub.add_parser("table1",
-                       parents=[sched, device_parent("xc7"), runtime],
+                       parents=[sched, device_parent("xc7"), jobs, cache],
                        help="QoR comparison across the four flows (Table 1)")
     p.add_argument("designs", nargs="*",
                    help="benchmark subset (default: all nine)")
 
     p = sub.add_parser("table2",
-                       parents=[sched, device_parent("xc7"), runtime],
+                       parents=[sched, device_parent("xc7"), jobs, cache],
                        help="MILP sizes and solve times (Table 2)")
     p.add_argument("designs", nargs="*",
                    help="benchmark subset (default: all nine)")
@@ -185,12 +185,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cut enumeration on the Figure 2 kernel")
 
     sub.add_parser("ablations",
-                   parents=[sched, device_parent("xc7"), runtime],
+                   parents=[sched, device_parent("xc7"), jobs, cache],
                    help="sensitivity sweeps (depth, alpha/beta, K, "
                         "heuristic, bit-blast)")
 
     p = sub.add_parser("trace",
-                       parents=[sched, device_parent("xc7"), runtime],
+                       parents=[sched, device_parent("xc7"), cache],
                        help="run (or replay from cache) one flow and dump "
                             "its per-phase trace spans")
     p.add_argument("design", help="benchmark name (see `repro list`)")
@@ -203,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule",
                        parents=[sched, partition, device_parent("xc7"),
-                                runtime],
+                                jobs, cache],
                        help="schedule one design end-to-end, optionally "
                             "via subgraph decomposition "
                             "(see docs/partitioning.md)")
@@ -245,29 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write-baseline", metavar="FILE",
                    help="record all current findings to FILE and exit 0")
 
-    p = sub.add_parser("bench",
-                       parents=[sched, device_parent("xc7"), runtime],
-                       help="MILP hot-path performance benchmark "
-                            "(writes BENCH_milp.json; see "
-                            "docs/performance.md)")
-    p.add_argument("designs", nargs="*",
-                   help="benchmark subset (default: all nine, or the "
-                        "quick trio with --quick)")
-    p.add_argument("--quick", action="store_true",
-                   help="small fast matrix (the CI perf-smoke shape)")
-    p.add_argument("--output", default="BENCH_milp.json", metavar="FILE",
-                   help="write the JSON report here "
-                        "(default BENCH_milp.json; '-' to skip)")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="compare wall times against this stored bench "
-                        "report and exit 1 on regressions")
-    p.add_argument("--max-ratio", type=float, default=3.0, metavar="X",
-                   help="regression threshold for --baseline "
-                        "(default 3.0x)")
-    p.add_argument("--format", choices=["text", "json"], default="text",
-                   help="stdout format (default text)")
-
-    p = sub.add_parser("serve", parents=[runtime],
+    p = sub.add_parser("serve", parents=[jobs, cache],
                        help="run the scheduling-as-a-service job server "
                             "(see docs/service.md)")
     p.add_argument("--host", default="127.0.0.1",
@@ -321,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="with --load: write the JSON load report here")
 
     p = sub.add_parser("equiv",
-                       parents=[sched, device_parent("xc7"), runtime],
+                       parents=[sched, device_parent("xc7"), cache],
                        help="prove every flow stage semantics-preserving "
                             "with the miter/SAT engine "
                             "(see docs/equivalence.md)")
@@ -348,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also write the full JSON report to FILE")
 
     p = sub.add_parser("fuzz",
-                       parents=[sched, device_parent("xc7"), runtime],
+                       parents=[sched, device_parent("xc7"), jobs],
                        help="differential fuzzing campaign over random "
                             "CDFGs (see docs/fuzzing.md)")
     p.add_argument("--seeds", type=int, default=50, metavar="N",
@@ -672,42 +650,6 @@ def _cmd_fuzz(args) -> int:
     return 1 if summary.divergences else 0
 
 
-def _cmd_bench(args) -> int:
-    from .experiments.bench import compare_to_baseline, format_bench, run_bench
-
-    result = run_bench(designs=[d.upper() for d in args.designs] or None,
-                       device=_device(args), config=_config(args),
-                       quick=args.quick, jobs=args.jobs,
-                       progress=_progress("benching"))
-    data = result.to_dict()
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"repro bench: wrote {args.output}", file=sys.stderr)
-    if args.format == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        print(format_bench(result))
-    if args.baseline:
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"repro bench: failed to load baseline: {exc}",
-                  file=sys.stderr)
-            return 2
-        regressions = compare_to_baseline(data, baseline,
-                                          max_ratio=args.max_ratio)
-        for line in regressions:
-            print(f"  REGRESSION {line}")
-        if regressions:
-            return 1
-        print(f"repro bench: no regressions vs {args.baseline} "
-              f"(max-ratio {args.max_ratio:.1f}x)", file=sys.stderr)
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import asyncio
 
@@ -842,9 +784,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "fuzz":
         return _cmd_fuzz(args)
-
-    if args.command == "bench":
-        return _cmd_bench(args)
 
     if args.command == "serve":
         return _cmd_serve(args)

@@ -11,6 +11,14 @@ __all__ = ["SchedulerConfig"]
 #: MILP backends :meth:`repro.milp.model.Model.solve` accepts.
 _BACKENDS = ("scipy", "bnb")
 
+#: Knobs that must be ``int`` (never ``bool``), and knobs that take any
+#: non-bool number and are stored as ``float``; the optional ones also
+#: take ``None``.
+_INT_FIELDS = ("ii", "latency_bound", "latency_margin", "max_cuts",
+               "partition_size", "partition_rounds")
+_FLOAT_FIELDS = ("tcp", "alpha", "beta", "time_limit", "mip_rel_gap")
+_OPTIONAL_FIELDS = frozenset({"latency_bound", "time_limit", "mip_rel_gap"})
+
 
 @dataclass(frozen=True)
 class SchedulerConfig:
@@ -77,9 +85,10 @@ class SchedulerConfig:
         merge-the-worst-boundary rounds run, keeping the best verified
         result seen.
 
-    Out-of-range values raise :class:`~repro.errors.SchedulingError` at
-    construction, so a bad knob fails where it is set (the service turns
-    it into a 400) instead of inside a solve.
+    Out-of-range or mistyped values raise
+    :class:`~repro.errors.SchedulingError` at construction, so a bad knob
+    fails where it is set (the service turns it into a 400) instead of
+    inside a solve.
     """
 
     ii: int = 1
@@ -108,6 +117,23 @@ class SchedulerConfig:
             if not isinstance(value, bool):
                 raise SchedulingError(
                     f"{name} must be true or false, got {value!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_FIELDS:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SchedulingError(
+                    f"{name} must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_FIELDS:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SchedulingError(
+                    f"{name} must be a number, got {value!r}")
+            # 10 and 10.0 are one knob setting: store one type so both
+            # hash to the same flow fingerprint.
+            object.__setattr__(self, name, float(value))
         if self.ii < 1:
             raise SchedulingError(f"II must be >= 1, got {self.ii}")
         if self.tcp <= 0:

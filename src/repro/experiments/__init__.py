@@ -12,13 +12,6 @@ from .ablation import (
     sweep_k,
     sweep_xorr_depth,
 )
-from .bench import (
-    BENCH_SCHEMA,
-    BenchResult,
-    compare_to_baseline,
-    format_bench,
-    run_bench,
-)
 from .figure1 import build_figure1_kernel, format_figure1, run_figure1
 from .figure2 import build_figure2_kernel, format_figure2, run_figure2
 from .flows import ALL_METHODS, METHODS, FlowResult, run_flow
@@ -27,8 +20,6 @@ from .table1 import Table1Result, Table1Row, format_table1, run_table1
 from .table2 import Table2Result, Table2Row, format_table2, run_table2
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "BenchResult",
     "FlowResult",
     "ALL_METHODS",
     "METHODS",
@@ -38,8 +29,6 @@ __all__ = [
     "Table2Row",
     "build_figure1_kernel",
     "build_figure2_kernel",
-    "compare_to_baseline",
-    "format_bench",
     "format_alpha_beta",
     "format_figure1",
     "format_figure2",
@@ -51,7 +40,6 @@ __all__ = [
     "format_xorr_depth",
     "percent",
     "render_table",
-    "run_bench",
     "run_figure1",
     "run_figure2",
     "run_flow",

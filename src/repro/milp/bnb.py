@@ -163,8 +163,8 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
     # Bound lifting is sound when c.x is integral at every integer point:
     # the objective must not touch continuous variables and all integer
     # coefficients must be integers. (The scheduling objective carries a
-    # 1e-4 regularizer, so the lift mostly fires on test/microbench
-    # models — cheap to detect, free when inapplicable.)
+    # 1e-4 regularizer, so the lift mostly fires on small test models —
+    # cheap to detect, free when inapplicable.)
     int_set = set(int_vars)
     integral_obj = all(
         idx in int_set and abs(coeff - round(coeff)) < 1e-9

@@ -199,7 +199,7 @@ class Solution:
     gap: float | None = None
     message: str = ""
     #: Backend bookkeeping (node counts, LP counts, presolve reductions);
-    #: read by the bench harness, never by the schedulers.
+    #: copied into the ``solve`` trace span, never steers a schedule.
     stats: dict = field(default_factory=dict)
 
     @property

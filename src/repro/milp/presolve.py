@@ -72,7 +72,7 @@ _SAFETY = 1e-9
 
 @dataclass
 class PresolveStats:
-    """What the reduction pass accomplished (span meta / bench rows)."""
+    """What the reduction pass accomplished (``presolve`` span meta)."""
 
     vars_before: int = 0
     vars_after: int = 0

@@ -137,7 +137,7 @@ def solve_scipy(model: Model, time_limit: float | None = None,
             values = {i: float(v) for i, v in enumerate(snapped)}
             objective = model.objective.value(values)
 
-    # HiGHS search effort, for the bench harness and trace spans.
+    # HiGHS search effort, for the ``solve`` trace span.
     stats: dict = {}
     node_count = getattr(result, "mip_node_count", None)
     gap = getattr(result, "mip_gap", None)

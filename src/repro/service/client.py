@@ -10,8 +10,7 @@ run against either:
 * :class:`InProcessClient` — the same API mapped directly onto a
   :class:`~repro.service.jobs.SchedulingService`, with the HTTP status
   codes synthesized from the same exceptions the server maps. Zero
-  sockets: this is the in-process fixture the tier-1 harness and the
-  bench arm use.
+  sockets: this is the in-process fixture the tier-1 tests use.
 
 Both stream ``events()`` as parsed NDJSON dicts and offer ``wait()``
 for submit→poll→result flows.

@@ -106,7 +106,6 @@ class LoadReport:
 def run_load(client: Any, seeds: Iterable[int] = range(50),
              method: str = "milp-map",
              config: dict[str, Any] | None = None,
-             warm_seeds: Iterable[int] = (),
              duration: float | None = None,
              submit_timeout: float = 60.0,
              wait_timeout: float = 300.0,
@@ -115,9 +114,7 @@ def run_load(client: Any, seeds: Iterable[int] = range(50),
 
     ``seeds`` submits one job per seed as fast as admission control
     allows (429 rejections back off and retry — backpressure must never
-    lose traffic, only delay it). ``warm_seeds`` are submitted *after*
-    every cold job finished, so with a flow cache attached they are
-    deterministic cache hits. ``duration`` (seconds) keeps cycling
+    lose traffic, only delay it). ``duration`` (seconds) keeps cycling
     through ``seeds`` with distinct client names until the clock runs
     out — the CI smoke shape; dedupe/caching then absorbs the repeats.
     """
@@ -182,9 +179,6 @@ def run_load(client: Any, seeds: Iterable[int] = range(50),
                     break
                 submit_one(seed, f"lap-{lap}", f"loadgen-{lap}")
             drain()
-    drain()
-    for seed in warm_seeds:
-        submit_one(seed, "warm", "loadgen-warm")
     drain()
     report.elapsed = time.perf_counter() - t0
     status, stats = client.stats()

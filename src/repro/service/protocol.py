@@ -151,7 +151,8 @@ def parse_request(payload: Any) -> JobRequest:
     _require(isinstance(lint, bool), "lint must be a boolean")
     time_budget = payload.get("time_budget")
     _require(time_budget is None
-             or (isinstance(time_budget, (int, float)) and time_budget > 0),
+             or (isinstance(time_budget, (int, float))
+                 and not isinstance(time_budget, bool) and time_budget > 0),
              "time_budget must be a positive number of seconds")
 
     return JobRequest(client=client, method=method, graph=graph,

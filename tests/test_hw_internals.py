@@ -103,3 +103,16 @@ class TestCLI:
 
         assert main(["table2", "GSM", "--time-limit", "20"]) == 0
         assert "GSM" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "GSM", "--jobs", "2"],
+        ["equiv", "GSM", "--jobs", "2"],
+        ["fuzz", "--cache-dir", "unused"],
+        ["bench"],
+    ], ids=["trace-jobs", "equiv-jobs", "fuzz-cache-dir", "bench"])
+    def test_rejects_unread_options_and_retired_commands(self, argv):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -9,7 +9,9 @@ Three layers of evidence, mirroring docs/performance.md:
   defining row must not be dropped under its own invariant) and
   group-aware big-M tightening;
 * the real formulations — the Table 2 models shrink and still solve to
-  the same optimum.
+  the same optimum;
+* the solver micro models — presolve plus a restricted warm start keeps
+  the cold branch-and-bound optimum.
 """
 
 import random
@@ -181,3 +183,107 @@ def test_real_formulation_agrees_and_shrinks(design):
     assert sol.status == SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(raw.objective, abs=1e-5)
     assert model.check(sol.values) == []
+
+
+# ----------------------------------------------------------------------
+# Solver micro models: the small MILPs whose optimized-vs-cold wall ratio
+# is the open ``micro_wall_speedup`` debt (docs/performance.md).
+# ----------------------------------------------------------------------
+def _micro_knapsack() -> tuple[Model, dict[int, float]]:
+    """0/1 knapsack with a greedy warm start (bound-lift friendly)."""
+    n = 24
+    model = Model("micro-knapsack")
+    weights = [3 + (i * 7) % 11 for i in range(n)]
+    values = [2 + (i * 5) % 9 for i in range(n)]
+    xs = [model.binary(f"x{i}") for i in range(n)]
+    cap = sum(weights) // 3
+    model.add(sum(w * x for w, x in zip(weights, xs)) <= cap)
+    model.minimize(sum(-v * x for v, x in zip(values, xs)))
+    order = sorted(range(n), key=lambda i: values[i] / weights[i],
+                   reverse=True)
+    warm: dict[int, float] = {x.index: 0.0 for x in xs}
+    load = 0
+    for i in order:
+        if load + weights[i] <= cap:
+            warm[xs[i].index] = 1.0
+            load += weights[i]
+    return model, warm
+
+
+def _micro_assignment() -> tuple[Model, dict[int, float]]:
+    """One-hot slot assignment with precedence — a miniature scheduler:
+    one-hot rows, big-M-free precedence over ``sum t*x``, and a
+    continuous length variable chained to the chosen slot."""
+    groups, slots = 8, 6
+    model = Model("micro-assignment")
+    xs = [[model.binary(f"s{g}_{t}") for t in range(slots)]
+          for g in range(groups)]
+    ls = [model.continuous(f"L{g}", lo=0.0, hi=float(slots))
+          for g in range(groups)]
+    warm: dict[int, float] = {}
+    for g in range(groups):
+        model.add(sum(xs[g]) == 1)
+        slot_expr = sum(t * xs[g][t] for t in range(1, slots))
+        model.add(ls[g] >= slot_expr)
+        if g:
+            prev = sum(t * xs[g - 1][t] for t in range(1, slots))
+            model.add(slot_expr >= prev)
+        chosen = min(g, slots - 1)
+        for t in range(slots):
+            warm[xs[g][t].index] = 1.0 if t == chosen else 0.0
+        warm[ls[g].index] = float(chosen)
+    cost = sum(((g * 3 + t * 5) % 7 + 1) * xs[g][t]
+               for g in range(groups) for t in range(slots))
+    model.minimize(cost + sum(0.25 * l for l in ls))
+    return model, warm
+
+
+def _micro_bigm_chain() -> tuple[Model, dict[int, float]]:
+    """One-hot slots chained through loose big-M rows — the shape of the
+    paper's Eq. 5/6 timing chains, with big-M coefficients far looser
+    than the one-hot structure allows (group-aware tightening's target)."""
+    stages, slots, big = 7, 6, 120.0
+    model = Model("micro-bigm-chain")
+    xs = [[model.binary(f"s{g}_{t}") for t in range(slots)]
+          for g in range(stages)]
+    ms = [model.binary(f"m{g}") for g in range(stages)]
+    ls = [model.continuous(f"L{g}", lo=0.0, hi=float(2 * stages))
+          for g in range(stages)]
+    warm: dict[int, float] = {}
+    for g in range(stages):
+        model.add(sum(xs[g]) == 1)
+        slot_expr = sum(t * xs[g][t] for t in range(1, slots))
+        model.add(ls[g] >= slot_expr)
+        if g:
+            model.add(ls[g] >= ls[g - 1] + 2 - big * ms[g])
+        chosen = min(2 * g, slots - 1)
+        for t in range(slots):
+            warm[xs[g][t].index] = 1.0 if t == chosen else 0.0
+        warm[ms[g].index] = 0.0 if g < 3 else 1.0
+        warm[ls[g].index] = float(max(chosen, 2 * g))
+    model.add(sum(ms) <= stages - 3)
+    cost = sum(((g * 5 + t * 3) % 6 + 1) * xs[g][t]
+               for g in range(stages) for t in range(slots))
+    model.minimize(cost + sum(ls) + 3.0 * sum(ms))
+    return model, warm
+
+
+@pytest.mark.parametrize("build, optimum", [
+    pytest.param(_micro_knapsack, -78.0, id="knapsack"),
+    pytest.param(_micro_assignment, 22.0, id="assignment"),
+    pytest.param(_micro_bigm_chain, 30.0, id="bigm-chain"),
+])
+def test_presolve_and_warm_start_keep_the_bnb_optimum(build, optimum):
+    """Cold bnb and presolve -> restricted warm start -> bnb -> expand
+    agree on status and objective."""
+    model, warm = build()
+    assert model.check(warm) == []
+    cold = model.solve("bnb", time_limit=60.0)
+    reduced, post = presolve(model)
+    assert post.status is None
+    hint = post.restrict(warm)
+    sol = post.expand(reduced.solve("bnb", time_limit=60.0, warm_start=hint,
+                                    branch_hints=hint))
+    assert cold.status == sol.status == SolveStatus.OPTIMAL
+    assert cold.objective == pytest.approx(optimum, abs=1e-6)
+    assert sol.objective == pytest.approx(cold.objective, abs=1e-6)

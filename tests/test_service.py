@@ -29,6 +29,7 @@ from repro.errors import (
 from repro.experiments import run_flow
 from repro.fuzz.generate import generate_graph, profile_for_seed
 from repro.ir.serialize import schedule_to_dict
+from repro.runtime.fingerprint import flow_fingerprint
 from repro.service import (
     FaultPlan,
     InProcessClient,
@@ -110,10 +111,31 @@ def test_parse_request_accepts_minimal_design_payload():
     ({"design": "GSM", "config": {"mip_rel_gap": -0.1}}, "mip_rel_gap"),
     ({"design": "GSM", "config": {"vectorize": False}},
      "unknown config field"),
+    ({"design": "GSM", "config": {"ii": 1.5}}, "ii must be an integer"),
+    ({"design": "GSM", "config": {"max_cuts": 2.5}}, "max_cuts"),
+    ({"design": "GSM", "config": {"latency_bound": 3.5}}, "latency_bound"),
+    ({"design": "GSM", "config": {"partition_rounds": 1.5}},
+     "partition_rounds"),
+    ({"design": "GSM", "config": {"alpha": True}}, "alpha must be a number"),
+    ({"design": "GSM", "config": {"ii": True}}, "ii must be an integer"),
+    ({"design": "GSM", "config": {"ii": 1.0}}, "ii must be an integer"),
+    ({"design": "GSM", "config": {"max_cuts": 12.0}}, "max_cuts"),
+    ({"design": "GSM", "config": {"tcp": "10"}}, "tcp must be a number"),
+    ({"design": "GSM", "time_budget": True}, "time_budget"),
 ])
 def test_parse_request_rejects_malformed_payloads(payload, match):
     with pytest.raises(ProtocolError, match=match):
         parse_request(payload)
+
+
+def test_int_and_float_knobs_share_one_fingerprint():
+    """``tcp: 10`` and ``tcp: 10.0`` are one flow: one dedupe/cache key."""
+    fingerprints = set()
+    for tcp in (10, 10.0):
+        request = parse_request({"design": "GSM", "config": {"tcp": tcp}})
+        fingerprints.add(flow_fingerprint(request.graph, request.method,
+                                          request.device, request.config))
+    assert len(fingerprints) == 1
 
 
 def test_canonical_result_json_strips_wall_clock():
