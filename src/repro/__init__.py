@@ -11,7 +11,7 @@ the subpackages for the full API:
 * :mod:`repro.cuts` — word-level cut enumeration (Algorithm 1)
 * :mod:`repro.tech` — device, delay and area characterization
 * :mod:`repro.milp` — MILP modeling layer and solver backends
-* :mod:`repro.scheduling` — SDC / modulo scheduling substrate
+* :mod:`repro.scheduling` — ASAP/ALAP / modulo scheduling substrate
 * :mod:`repro.core` — the paper's MILP formulation (MILP-map / MILP-base)
 * :mod:`repro.mapping` — post-scheduling per-stage technology mapper
 * :mod:`repro.hls` — the commercial-HLS-tool proxy baseline flow

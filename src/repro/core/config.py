@@ -46,9 +46,6 @@ class SchedulerConfig:
         MILP backend: ``"scipy"`` (HiGHS) or ``"bnb"``.
     max_cuts:
         Merged-cut cap per node passed to the enumerator.
-    use_mapping:
-        True = MILP-map (full cut sets); False = MILP-base (unit cuts only,
-        i.e. "skipping the cut enumeration step", Sec. 4).
     paper_objective:
         True = cost every selected root ``Bits(v)`` LUTs exactly as Eq. 15;
         False (default) = refined per-cut LUT costs (free wiring, operator
@@ -59,7 +56,8 @@ class SchedulerConfig:
         Run :func:`repro.ir.transforms.narrow_graph` before cut
         enumeration and MILP construction (dataflow-proven width
         shrinking and constant folding). ``--no-narrow`` on the CLI and
-        ``narrow=False`` here are the escape hatch.
+        ``narrow=False`` here are the escape hatch; it is the flows' one
+        narrowing switch, so it is part of every fingerprint.
     presolve:
         Run :func:`repro.milp.presolve.presolve` on every scheduling
         model before handing it to the backend (``--no-presolve`` to
@@ -100,7 +98,6 @@ class SchedulerConfig:
     time_limit: float | None = 120.0
     backend: str = "scipy"
     max_cuts: int = 12
-    use_mapping: bool = True
     paper_objective: bool = False
     mip_rel_gap: float | None = None
     narrow: bool = True
@@ -111,8 +108,8 @@ class SchedulerConfig:
     partition_rounds: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("use_mapping", "paper_objective", "narrow", "presolve",
-                     "warm_start", "partition"):
+        for name in ("paper_objective", "narrow", "presolve", "warm_start",
+                     "partition"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise SchedulingError(

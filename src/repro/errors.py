@@ -113,10 +113,11 @@ class ExperimentError(ReproError):
 
 
 class FlowCancelled(ReproError):
-    """A flow observed its cancellation signal at a phase checkpoint.
+    """A flow observed its cancellation signal as a phase span opened.
 
-    Raised by :func:`repro.experiments.run_flow` when the caller-supplied
-    ``cancel`` predicate turns true between phases. Deliberately *not* a
+    Raised by :meth:`repro.runtime.Tracer.span` when the tracer's
+    ``cancel`` predicate is true as a phase is about to start (the flow's
+    tracer, see :func:`repro.experiments.run_flow`). Deliberately *not* a
     subclass of :class:`SolverError`/:class:`SchedulingError`/
     :class:`AnalysisError`, so the narrowed-graph fallback never swallows
     a cancellation into a retry on the original graph.

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..core.config import SchedulerConfig
 from ..core.mapsched import BaseScheduler, MapScheduler
 from ..core.verify import verify_schedule
-from ..errors import ExperimentError, FlowCancelled
+from ..errors import ExperimentError
 from ..hls.tool import CommercialHLSProxy
 from ..hw.cost import HardwareReport, evaluate
 from ..ir.graph import CDFG
@@ -86,23 +85,13 @@ class FlowResult:
     equiv: "object | None" = None
 
 
-def _checkpoint(cancel: "Callable[[], bool] | None", phase: str) -> None:
-    """Cooperative cancellation point: raise before entering ``phase``."""
-    if cancel is not None and cancel():
-        raise FlowCancelled(f"flow cancelled before {phase}", phase=phase)
-
-
 def run_flow(graph: CDFG, method: str, device: Device = XC7,
              config: SchedulerConfig | None = None,
              design: str | None = None, lint: bool = True,
-             narrow: bool | None = None,
              cache: FlowCache | None = None,
              tracer: Tracer | None = None,
              validate: "bool | tuple[str, ...] | list[str] | None" = None,
-             jobs: int | None = 1,
-             cancel: "Callable[[], bool] | None" = None,
-             on_phase: "Callable[[str, object], None] | None" = None,
-             ) -> FlowResult:
+             jobs: int | None = 1) -> FlowResult:
     """Run one Table 1 flow on ``graph`` and evaluate the hardware.
 
     Unless ``lint=False``, the design is first checked by the static
@@ -111,15 +100,14 @@ def run_flow(graph: CDFG, method: str, device: Device = XC7,
     exception) — a scheduler fed a malformed or DEP-unsound graph would
     otherwise produce QoR numbers that look valid.
 
-    ``narrow`` (default: ``config.narrow``) shrinks the graph with
-    dataflow-proven facts (:func:`repro.ir.transforms.narrow_graph`)
-    before any scheduling, cut enumeration or MILP construction; the
-    narrowed graph is functionally equivalent, so reports and schedules
-    describe the same kernel with fewer bits. Narrowing is strictly an
-    optimization: if the flow fails on the narrowed model — a time-capped
-    solver losing the incumbent lottery (:class:`SolverError`), the
-    independent verifier rejecting the narrowed schedule
-    (:class:`ScheduleVerificationError` or any other
+    ``config.narrow`` shrinks the graph with dataflow-proven facts
+    (:func:`repro.ir.transforms.narrow_graph`) before any scheduling, cut
+    enumeration or MILP construction; the narrowed graph is functionally
+    equivalent, so reports and schedules describe the same kernel with
+    fewer bits. Narrowing is strictly an optimization: if the flow fails
+    on the narrowed model — a time-capped solver losing the incumbent
+    lottery (:class:`SolverError`), the independent verifier rejecting the
+    narrowed schedule (:class:`ScheduleVerificationError` or any other
     :class:`SchedulingError`), or the analyzer flagging the narrowed graph
     (:class:`AnalysisError`) — the flow retries once on the original graph
     rather than surfacing the failure. The returned result records which
@@ -143,16 +131,15 @@ def run_flow(graph: CDFG, method: str, device: Device = XC7,
     the partition *parameters* (``partition``/``partition_size``/
     ``partition_rounds``) do, via ``SchedulerConfig.fingerprint_fields``.
 
-    ``cancel`` makes the flow cooperatively cancellable: the predicate is
-    checked at every phase boundary (before lint, narrow, dispatch,
-    verify, evaluate and cache-store) and, when true, the flow raises
-    :class:`~repro.errors.FlowCancelled` instead of entering the next
-    phase. A phase already running (e.g. a capped MILP solve) finishes
-    first — cancellation never tears down a solver mid-call, so worker
-    pools spawned by a phase are always joined before the exception
-    surfaces. ``on_phase`` receives live ``("start"|"end", Span)`` phase
-    transitions from every layer that records spans through this flow's
-    tracer (both are runtime-only and never enter fingerprints).
+    ``tracer`` records every phase as a span. A tracer built with
+    ``listener=`` sees each phase start and end live; one built with
+    ``cancel=`` makes the flow cooperatively cancellable: every span —
+    any name in :data:`~repro.runtime.SPAN_NAMES`, down to each II probe's
+    ``solve``, each partition round and each ``miter`` goal — checks the
+    predicate as it opens and raises :class:`~repro.errors.FlowCancelled`
+    instead of entering the phase. A phase already running (e.g. a capped
+    MILP solve) finishes first, so worker pools spawned by a phase are
+    always joined before the exception surfaces.
     """
     config = config or SchedulerConfig()
     if method not in ALL_METHODS:
@@ -160,45 +147,51 @@ def run_flow(graph: CDFG, method: str, device: Device = XC7,
             f"unknown method {method!r}; expected one of {ALL_METHODS}"
         )
     tracer = tracer or Tracer()
-    if on_phase is not None:
-        tracer.listener = on_phase
-    _checkpoint(cancel, "cache-load")
-    fingerprint = None
+    fingerprint = result = None
     if cache is not None:
         fingerprint = flow_fingerprint(graph, method, device, config)
         with tracer.span("cache-load", fingerprint=fingerprint) as span:
-            hit = cache.load(fingerprint)
-            span.meta["hit"] = hit is not None
-        if hit is not None:
-            tracer.absorb(hit.trace.spans, cached=True)
-            hit.trace = tracer
-            if validate:
-                _attach_validation(hit, graph, validate, cache, tracer,
-                                   design, method)
-            return hit
+            result = cache.load(fingerprint)
+            span.meta["hit"] = result is not None
+    if result is not None:
+        tracer.absorb(result.trace.spans, cached=True)
+        result.trace = tracer
+    else:
+        result = _compute(graph, method, device, config, design, lint,
+                          tracer, jobs)
+        result.fingerprint = fingerprint
+        if cache is not None:
+            with tracer.span("cache-store", fingerprint=fingerprint):
+                cache.store(fingerprint, result, design=design or graph.name,
+                            method=method)
+    if validate:
+        _attach_validation(result, graph, validate, cache, tracer,
+                           design, method)
+    return result
 
+
+def _compute(graph: CDFG, method: str, device: Device,
+             config: SchedulerConfig, design: str | None, lint: bool,
+             tracer: Tracer, jobs: int | None) -> FlowResult:
+    """Lint, narrow and schedule ``graph``, retrying un-narrowed on failure."""
     if lint:
         from ..analysis import lint_graph
 
-        _checkpoint(cancel, "lint")
         with tracer.span("lint"):
             lint_graph(graph, device=device).raise_if("error")
-    if narrow is None:
-        narrow = config.narrow
-    result = None
-    if narrow:
+    if config.narrow:
         from ..errors import AnalysisError, SchedulingError, SolverError
         from ..ir.transforms import narrow_graph
 
-        _checkpoint(cancel, "narrow")
         with tracer.span("narrow") as span:
             narrowed, _ = narrow_graph(graph)
             span.meta["nodes"] = len(narrowed.node_ids)
         try:
             with tracer.context(graph="narrowed"):
                 result = _dispatch(narrowed, method, device, config,
-                                   design, tracer, jobs, cancel)
+                                   design, tracer, jobs)
             result.source_graph = "narrowed"
+            return result
         except (SolverError, SchedulingError, AnalysisError) as exc:
             # Narrowing must never turn a schedulable kernel into a
             # failure: fall through to the un-narrowed graph. This covers
@@ -211,21 +204,10 @@ def run_flow(graph: CDFG, method: str, device: Device = XC7,
             with tracer.span("narrow-fallback", error=type(exc).__name__,
                              message=str(exc)[:200]):
                 pass
-    if result is None:
-        with tracer.context(graph="original"):
-            result = _dispatch(graph, method, device, config, design,
-                               tracer, jobs, cancel)
-        result.source_graph = "original"
-    result.trace = tracer
-    result.fingerprint = fingerprint
-    if cache is not None:
-        _checkpoint(cancel, "cache-store")
-        with tracer.span("cache-store", fingerprint=fingerprint):
-            cache.store(fingerprint, result, design=design or graph.name,
-                        method=method)
-    if validate:
-        _attach_validation(result, graph, validate, cache, tracer,
-                           design, method)
+    with tracer.context(graph="original"):
+        result = _dispatch(graph, method, device, config, design, tracer,
+                           jobs)
+    result.source_graph = "original"
     return result
 
 
@@ -255,53 +237,38 @@ def _attach_validation(result: FlowResult, graph: CDFG, validate,
 
 def _dispatch(graph: CDFG, method: str, device: Device,
               config: SchedulerConfig, design: str | None,
-              tracer: Tracer, jobs: int | None = 1,
-              cancel: "Callable[[], bool] | None" = None) -> FlowResult:
-    _checkpoint(cancel, "schedule")
-    if method == "hls-tool":
+              tracer: Tracer, jobs: int | None = 1) -> FlowResult:
+    if method in ("milp-base", "milp-map"):
+        if config.partition:
+            from ..partition import PartitionScheduler
+
+            scheduler = PartitionScheduler(graph, device, config,
+                                           method=method, tracer=tracer,
+                                           jobs=jobs, design=design)
+        else:
+            cls = BaseScheduler if method == "milp-base" else MapScheduler
+            scheduler = cls(graph, device, config, tracer=tracer)
+        schedule = scheduler.schedule()
+        if method == "milp-base":
+            # Downstream mapping respects the frozen register boundaries
+            # but still packs logic within each stage (as Vivado would).
+            with tracer.span("map", method=method):
+                schedule.cover = {}
+                schedule = map_schedule(schedule, device)
+                schedule.method = "milp-base"
+    elif method == "hls-tool":
         with tracer.span("schedule", method=method):
-            result = CommercialHLSProxy(graph, device, tcp=config.tcp)\
-                .run(target_ii=config.ii)
-            schedule = result.schedule
-    elif method == "milp-base":
-        if config.partition:
-            from ..partition import PartitionScheduler
-
-            schedule = PartitionScheduler(
-                graph, device, config, method=method, tracer=tracer,
-                jobs=jobs, design=design).schedule()
-        else:
-            schedule = BaseScheduler(graph, device, config,
-                                     tracer=tracer).schedule()
-        # Downstream mapping respects the frozen register boundaries but
-        # still packs logic within each stage (as Vivado would).
-        with tracer.span("map", method=method):
-            schedule.cover = {}
-            schedule = map_schedule(schedule, device)
-            schedule.method = "milp-base"
-    elif method == "milp-map":
-        if config.partition:
-            from ..partition import PartitionScheduler
-
-            schedule = PartitionScheduler(
-                graph, device, config, method=method, tracer=tracer,
-                jobs=jobs, design=design).schedule()
-        else:
-            schedule = MapScheduler(graph, device, config,
-                                    tracer=tracer).schedule()
-    elif method == "heur-map":
+            schedule = CommercialHLSProxy(graph, device, tcp=config.tcp)\
+                .run(target_ii=config.ii).schedule
+    else:
         from ..core.heuristic import MappingAwareHeuristicScheduler
 
         with tracer.span("schedule", method=method):
             schedule = MappingAwareHeuristicScheduler(graph, device, config)\
                 .schedule(target_ii=config.ii)
-    else:  # pragma: no cover - guarded above
-        raise ExperimentError(f"unknown method {method!r}")
-    _checkpoint(cancel, "verify")
     with tracer.span("verify"):
         verify_schedule(schedule, device)
-    _checkpoint(cancel, "evaluate")
     with tracer.span("evaluate"):
         report = evaluate(schedule, device, design=design or graph.name)
     report.method = method
-    return FlowResult(schedule=schedule, report=report)
+    return FlowResult(schedule=schedule, report=report, trace=tracer)

@@ -166,7 +166,7 @@ def partition_graph(graph: CDFG, device: Device = XC7,
         first = min(scc)
         for nid in scc:
             uf.union(first, nid)
-    if respect_cones and config.use_mapping and config.max_cuts > 0:
+    if respect_cones and config.max_cuts > 0:
         for cone in _selected_cones(graph, device, config):
             members = [nid for nid in cone if nid in eligible]
             for nid in members[1:]:

@@ -20,11 +20,12 @@ never as errors: a cache must not be able to break an experiment.
 
 from __future__ import annotations
 
+import glob
 import json
 import logging
 import os
 import tempfile
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from .fingerprint import CACHE_SCHEMA_VERSION
 from .trace import Tracer
@@ -89,25 +90,13 @@ class FlowCache:
 
     def load(self, fingerprint: str) -> "FlowResult | None":
         """Return the cached result or ``None`` (miss/corrupt/stale)."""
-        path = self.path_for(fingerprint)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if data.get("schema") != CACHE_FILE_SCHEMA \
-                or data.get("fingerprint") != fingerprint:
-            self.misses += 1
-            return None
-        try:
-            result = flow_result_from_dict(data["result"])
-        except Exception as exc:
-            # A corrupt entry (truncated write, hand-edited file, version
-            # skew inside the payload) must degrade to a miss — but not an
-            # invisible one, or payload bugs would never surface.
-            logger.debug("flow cache entry %s is corrupt, treating as a "
-                         "miss: %s", path, exc)
+        def parse(data: dict[str, Any]) -> "FlowResult | None":
+            if data.get("schema") != CACHE_FILE_SCHEMA:
+                return None
+            return flow_result_from_dict(data["result"])
+
+        result = self._read(self.path_for(fingerprint), fingerprint, parse)
+        if result is None:
             self.misses += 1
             return None
         result.fingerprint = fingerprint
@@ -117,29 +106,13 @@ class FlowCache:
     def store(self, fingerprint: str, result: "FlowResult",
               design: str | None = None, method: str | None = None) -> str:
         """Atomically persist ``result`` under ``fingerprint``."""
-        path = self.path_for(fingerprint)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        document = {
+        path = self._write(self.path_for(fingerprint), {
             "schema": CACHE_FILE_SCHEMA,
             "fingerprint": fingerprint,
             "design": design or result.report.design,
             "method": method or result.report.method,
             "result": flow_result_to_dict(result),
-        }
-        # Write-to-temp + rename so a crashed run never leaves a torn
-        # entry that a later run would have to detect.
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=1)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        })
         self.stores += 1
         return path
 
@@ -161,34 +134,54 @@ class FlowCache:
         """
         from ..analysis.equiv.validate import EquivReport
 
-        try:
-            with open(self.equiv_path_for(fingerprint), "r",
-                      encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if data.get("fingerprint") != fingerprint:
-            return None
-        try:
+        def parse(data: dict[str, Any]) -> "Any | None":
             report = EquivReport.from_dict(data["report"])
-        except Exception as exc:
-            # Corrupt entries degrade to misses, like results — logged so
-            # a systematically-broken payload is still diagnosable.
-            logger.debug("equiv cache entry %s is corrupt, treating as a "
-                         "miss: %s", self.equiv_path_for(fingerprint), exc)
-            return None
-        if tuple(v.stage for v in report.stages) != tuple(stages):
-            return None
-        return report
+            if tuple(v.stage for v in report.stages) != tuple(stages):
+                return None
+            return report
+
+        return self._read(self.equiv_path_for(fingerprint), fingerprint,
+                          parse)
 
     def store_equiv(self, fingerprint: str, report: "Any") -> str:
         """Atomically persist an :class:`EquivReport` under ``fingerprint``."""
-        path = self.equiv_path_for(fingerprint)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        document = {
+        return self._write(self.equiv_path_for(fingerprint), {
             "fingerprint": fingerprint,
             "report": report.to_dict(),
-        }
+        })
+
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _read(path: str, fingerprint: str,
+              parse: "Callable[[dict[str, Any]], Any]") -> Any:
+        """``parse`` of the document at ``path``, or ``None``.
+
+        Missing, torn and other-fingerprint files are misses, and so is a
+        document ``parse`` rejects or fails on.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except (OSError, ValueError):
+            return None
+        try:
+            if data.get("fingerprint") != fingerprint:
+                return None
+            return parse(data)
+        except Exception as exc:
+            # A corrupt entry (hand-edited file, version skew inside the
+            # payload) must degrade to a miss — but not an invisible one,
+            # or payload bugs would never surface.
+            logger.debug("flow cache entry %s is corrupt, treating as a "
+                         "miss: %s", path, exc)
+            return None
+
+    @staticmethod
+    def _write(path: str, document: dict[str, Any]) -> str:
+        """Write ``document`` to ``path`` atomically and return ``path``."""
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        # Write-to-temp + rename so a crashed run never leaves a torn
+        # entry that a later run would have to detect.
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -202,12 +195,10 @@ class FlowCache:
             raise
         return path
 
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        count = 0
-        for _, _, files in os.walk(self.root):
-            count += sum(1 for f in files if f.endswith(".json"))
-        return count
+        """Number of stored flow results (equiv verdicts not counted)."""
+        return len(glob.glob(os.path.join(glob.escape(self.root), "??",
+                                          "*.json")))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FlowCache({self.root!r}, hits={self.hits}, "

@@ -10,6 +10,9 @@ from one place instead of re-instrumenting each harness.
 Spans restored from the on-disk flow cache are marked ``cached=True``;
 counting only *fresh* spans is how the test suite proves a warm-cache rerun
 performed zero MILP solves.
+
+Opening a span is also the flow's cancellation point: a tracer built with
+``cancel=`` refuses to enter a phase once the predicate turns true.
 """
 
 from __future__ import annotations
@@ -17,18 +20,22 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
+
+from ..errors import FlowCancelled
 
 __all__ = ["Span", "Tracer", "SPAN_NAMES", "TRACE_SCHEMA"]
 
 TRACE_SCHEMA = "repro-trace/v1"
 
 #: The canonical phase names recorded by :func:`repro.experiments.run_flow`
-#: and the schedulers. Consumers should match on these, not re-derive them.
+#: and the schedulers; each is also a possible ``FlowCancelled.phase``.
+#: Consumers should match on these, not re-derive them.
 SPAN_NAMES = (
-    "lint", "narrow", "cut-enum", "milp-build", "presolve", "warm-start",
-    "solve", "schedule", "map", "verify", "evaluate", "cache-load",
-    "cache-store", "miter", "equiv",
+    "lint", "narrow", "narrow-fallback", "cut-enum", "milp-build",
+    "presolve", "warm-start", "solve", "schedule", "map", "partition-cut",
+    "subgraph-solve", "stitch", "feedback", "verify", "evaluate",
+    "cache-load", "cache-store", "miter", "equiv",
 )
 
 
@@ -91,11 +98,20 @@ class Tracer:
     fault-injection stalls *wait* inside the listener deliberately).
     Spans replayed via :meth:`absorb`/:meth:`from_dict` do not fire it —
     they describe work done elsewhere, possibly long ago.
+
+    ``cancel`` — an optional predicate checked as each span opens, before
+    the listener hears of it. When it returns true the span is not
+    entered: :class:`~repro.errors.FlowCancelled` is raised with the span's
+    name as ``phase``. A phase already running is never interrupted, so
+    every worker pool a phase spawns is joined before the exception
+    surfaces.
     """
 
-    def __init__(self, listener: "Any | None" = None) -> None:
+    def __init__(self, listener: "Any | None" = None,
+                 cancel: "Callable[[], bool] | None" = None) -> None:
         self.spans: list[Span] = []
         self.listener = listener
+        self.cancel = cancel
         self._epoch = time.perf_counter()
         self._context: dict[str, Any] = {}
 
@@ -108,6 +124,8 @@ class Tracer:
         (e.g. the narrowed-graph solve that triggers the original-graph
         retry) stay visible in the trace.
         """
+        if self.cancel is not None and self.cancel():
+            raise FlowCancelled(f"flow cancelled before {name}", phase=name)
         t0 = time.perf_counter()
         entry = Span(name=name, start=t0 - self._epoch,
                      meta={**self._context, **meta})

@@ -1,17 +1,15 @@
-"""Scheduling substrate: SDC, ASAP/ALAP, MII, MRT, heuristic modulo scheduling."""
+"""Scheduling substrate: ASAP/ALAP, MII, MRT, heuristic modulo scheduling."""
 
 from .asap import ChainingTimes, alap_schedule, asap_schedule
 from .mii import minimum_ii, rec_mii, res_mii
 from .modulo import HeuristicModuloScheduler
 from .mrt import ModuloReservationTable
 from .schedule import Schedule
-from .sdc import SDCSystem
 
 __all__ = [
     "ChainingTimes",
     "HeuristicModuloScheduler",
     "ModuloReservationTable",
-    "SDCSystem",
     "Schedule",
     "alap_schedule",
     "asap_schedule",

@@ -79,7 +79,7 @@ class HeuristicModuloScheduler:
         slot so that the producing iteration has finished (e.g. a running
         minimum updated at the end of a multi-cycle reduction). Each round
         raises the earliest-start bound of violated consumers and replaces
-        everything — a poor man's modulo-SDC fixpoint.
+        everything until no recurrence is violated.
         """
         min_ready: dict[int, float] = {}
         for _ in range(max_rounds):

@@ -34,11 +34,11 @@ Design notes
   touches jobs already accepted.
 
 * **Cancellation.** Cancelling a queued job removes it immediately; a
-  running job's flow observes its cancel event at the next phase
-  checkpoint (:func:`~repro.experiments.run_flow` ``cancel=``) and
-  raises :class:`~repro.errors.FlowCancelled` — the worker thread then
-  frees its slot. A solver mid-call always finishes its phase first, so
-  no worker pool is ever abandoned.
+  running job's flow observes its cancel event (or its spent time
+  budget) when its next span opens (:class:`~repro.runtime.Tracer`
+  ``cancel=``) and raises :class:`~repro.errors.FlowCancelled` — the
+  worker thread then frees its slot. A solver mid-call always finishes
+  its phase first, so no worker pool is ever abandoned.
 
 * **Retries.** :class:`~repro.service.faults.WorkerCrashFault` (the
   injected stand-in for transient infrastructure failure) re-queues the
@@ -64,6 +64,7 @@ from ..errors import (
 )
 from ..runtime.cache import FlowCache
 from ..runtime.fingerprint import flow_fingerprint
+from ..runtime.trace import Tracer
 from .faults import FaultPlan, WorkerCrashFault
 from .protocol import SERVICE_SCHEMA, TERMINAL_STATES, JobRequest, parse_request
 
@@ -350,7 +351,8 @@ class SchedulingService:
                             device=request.device, config=request.config,
                             design=request.design, lint=request.lint,
                             cache=self.cache, jobs=self.flow_jobs,
-                            cancel=cancelled, on_phase=on_phase)
+                            tracer=Tracer(listener=on_phase,
+                                          cancel=cancelled))
             self.faults.after_store(self.cache, flow.fingerprint)
             job.result = self._result_document(job, flow)
             with self._cond:

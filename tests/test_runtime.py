@@ -6,7 +6,9 @@ breadth, and partial-table formatting."""
 from __future__ import annotations
 
 import json
+import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.errors import (
     SolverError,
 )
 from repro.experiments import (
+    ALL_METHODS,
     Table1Result,
     Table1Row,
     format_table1,
@@ -135,6 +138,10 @@ def test_fingerprint_invalidates_on_every_input():
     tweaked = SchedulerConfig(ii=1, tcp=10.0, time_limit=30.0, max_cuts=8,
                               alpha=0.9, beta=0.1)
     assert flow_fingerprint(build_fig1(), "milp-map", XC7, tweaked) != base
+    # config.narrow is the flows' one narrowing switch: an un-narrowed
+    # result can never answer a narrowing lookup.
+    assert flow_fingerprint(build_fig1(), "milp-map", XC7,
+                            replace(FAST, narrow=False)) != base
 
 
 def test_fingerprint_invalidates_on_schema_bump(monkeypatch):
@@ -212,6 +219,27 @@ def test_flow_cache_invalidation_on_config_change(tmp_path):
                      cache=cache)
     assert not again.cached  # different fingerprint, fresh solve
     assert cache.stores == 2 and len(cache) == 2
+
+
+def test_flow_cache_validated_flow_stores_one_result_and_its_verdict(
+        tmp_path):
+    cache = FlowCache(str(tmp_path))
+    cold = run_flow(build_fig1(), "milp-map", XC7, FAST, lint=False,
+                    cache=cache, validate=True)
+    assert cold.equiv is not None
+    assert os.path.exists(cache.equiv_path_for(cold.fingerprint))
+    # len() counts flow results only, not the verdict beside them.
+    assert cache.stores == 1 and len(cache) == 1
+    # A warm rerun loads both and proves nothing again...
+    warm = run_flow(build_fig1(), "milp-map", XC7, FAST, lint=False,
+                    cache=cache, validate=True)
+    assert warm.cached and warm.trace.count("equiv") == 0
+    assert warm.equiv.to_dict() == cold.equiv.to_dict()
+    # ...but a verdict for other stages is a miss and is proved afresh.
+    subset = run_flow(build_fig1(), "milp-map", XC7, FAST, lint=False,
+                      cache=cache, validate=("narrow",))
+    assert subset.trace.count("equiv", fresh_only=True) == 1
+    assert [v.stage for v in subset.equiv.stages] == ["narrow"]
 
 
 # ----------------------------------------------------------------------
@@ -432,8 +460,6 @@ def test_scipy_round_snap_violation_becomes_error(monkeypatch):
 
 
 def test_mapscheduler_no_incumbent_raises_time_cap_message(monkeypatch):
-    from dataclasses import replace
-
     from repro.milp.model import Solution
 
     monkeypatch.setattr(
@@ -476,16 +502,16 @@ def test_flow_falls_back_to_original_graph(monkeypatch, exc):
     calls = []
 
     def flaky_dispatch(graph, method, device, config, design, tracer,
-                       jobs=1, cancel=None):
+                       jobs=1):
         calls.append(graph.name)
         if len(calls) == 1:
             raise exc
         return real_dispatch(graph, method, device, config, design, tracer,
-                             jobs, cancel)
+                             jobs)
 
     monkeypatch.setattr(flows_mod, "_dispatch", flaky_dispatch)
-    flow = run_flow(build_fig1(), "milp-map", XC7, FAST, lint=False,
-                    narrow=True)
+    flow = run_flow(build_fig1(), "milp-map", XC7,
+                    replace(FAST, narrow=True), lint=False)
     assert len(calls) == 2  # narrowed attempt, then the original graph
     assert flow.source_graph == "original"
     fallback = flow.trace.last("narrow-fallback")
@@ -494,8 +520,8 @@ def test_flow_falls_back_to_original_graph(monkeypatch, exc):
 
 
 def test_flow_records_narrowed_source_graph():
-    flow = run_flow(build_fig1(), "milp-map", XC7, FAST, lint=False,
-                    narrow=True)
+    flow = run_flow(build_fig1(), "milp-map", XC7,
+                    replace(FAST, narrow=True), lint=False)
     assert flow.source_graph == "narrowed"
     assert all(s.meta.get("graph") == "narrowed"
                for s in flow.trace.find("solve"))
@@ -509,8 +535,8 @@ def test_run_flow_cancel_before_start_raises_at_first_checkpoint():
 
     with pytest.raises(FlowCancelled) as info:
         run_flow(build_fig1(), "milp-map", XC7, FAST, lint=False,
-                 cancel=lambda: True)
-    assert info.value.phase == "cache-load"
+                 tracer=Tracer(cancel=lambda: True))
+    assert info.value.phase == "narrow"
 
 
 def test_run_flow_cancel_mid_flow_stops_at_next_phase():
@@ -525,10 +551,31 @@ def test_run_flow_cancel_mid_flow_stops_at_next_phase():
             cancelled["flag"] = True
 
     with pytest.raises(FlowCancelled) as info:
-        run_flow(build_fig1(), "milp-map", XC7, FAST, lint=False,
-                 narrow=False, cancel=lambda: cancelled["flag"],
-                 on_phase=on_phase)
+        run_flow(build_fig1(), "milp-map", XC7, replace(FAST, narrow=False),
+                 lint=False,
+                 tracer=Tracer(listener=on_phase,
+                               cancel=lambda: cancelled["flag"]))
     assert info.value.phase == "verify"
+
+
+def test_run_flow_cancel_stops_before_the_solve_it_has_not_entered():
+    """Every span is a checkpoint: a cancel raised while the MILP is being
+    built stops the flow before presolve, so the solve never runs."""
+    from repro.errors import FlowCancelled
+
+    cancelled = {"flag": False}
+
+    def on_phase(event: str, span) -> None:
+        if event == "start" and span.name == "milp-build":
+            cancelled["flag"] = True
+
+    tracer = Tracer(listener=on_phase, cancel=lambda: cancelled["flag"])
+    with pytest.raises(FlowCancelled) as info:
+        run_flow(BENCHMARKS["GSM"].build(), "milp-map", XC7, FAST,
+                 tracer=tracer)
+    assert info.value.phase == "presolve"
+    assert tracer.count("milp-build") == 1
+    assert tracer.count("solve") == 0
 
 
 def test_run_flow_cancel_during_partition_leaves_no_pool_workers():
@@ -536,27 +583,49 @@ def test_run_flow_cancel_during_partition_leaves_no_pool_workers():
     per-subgraph process pool: the running phase completes (joining its
     pool) before FlowCancelled surfaces at the next checkpoint."""
     import multiprocessing
-    from dataclasses import replace as dc_replace
 
     from repro.errors import FlowCancelled
 
     cancelled = {"flag": False}
 
     def on_phase(event: str, span) -> None:
-        if event == "start" and span.name == "partition-cut":
+        if event == "start" and span.name == "subgraph-solve":
             cancelled["flag"] = True
 
-    config = dc_replace(FAST, partition=True, partition_size=12,
-                        partition_rounds=1)
+    config = replace(FAST, partition=True, partition_size=12,
+                     partition_rounds=1, narrow=False)
     with pytest.raises(FlowCancelled) as info:
         run_flow(BENCHMARKS["GFMUL"].build(), "milp-map", XC7, config,
-                 lint=False, narrow=False, jobs=2,
-                 cancel=lambda: cancelled["flag"], on_phase=on_phase)
-    # The partition scheduler ran to completion (pools joined), then the
-    # verify checkpoint observed the flag. FlowCancelled is not a
+                 lint=False, jobs=2,
+                 tracer=Tracer(listener=on_phase,
+                               cancel=lambda: cancelled["flag"]))
+    # The subgraph pool ran to completion (workers joined), then the
+    # stitch span observed the flag. FlowCancelled is not a
     # SchedulingError, so no narrow-fallback retry can swallow it.
-    assert info.value.phase == "verify"
+    assert info.value.phase == "stitch"
     assert multiprocessing.active_children() == []
+
+
+def test_every_span_a_flow_opens_is_a_canonical_name(tmp_path):
+    """Each span name is a possible FlowCancelled.phase and NDJSON phase,
+    so all of them must be in SPAN_NAMES."""
+    from repro.runtime import SPAN_NAMES
+
+    cache = FlowCache(str(tmp_path))
+    tracer = Tracer()
+    for method in ALL_METHODS:
+        run_flow(BENCHMARKS["GSM"].build(), method, XC7, FAST, cache=cache,
+                 tracer=tracer)
+    run_flow(BENCHMARKS["GFMUL"].build(), "milp-map", XC7,
+             replace(FAST, partition=True, partition_size=12,
+                     partition_rounds=1), tracer=tracer)
+    run_flow(BENCHMARKS["GSM"].build(), "milp-map", XC7, FAST,
+             validate=True, tracer=tracer)
+    opened = {span.name for span in tracer.spans}
+    assert {"cache-load", "cache-store", "schedule", "map", "solve",
+            "partition-cut", "subgraph-solve", "stitch", "equiv",
+            "miter"} <= opened
+    assert opened <= set(SPAN_NAMES)
 
 
 # ----------------------------------------------------------------------
@@ -630,8 +699,7 @@ def test_constant_cone_after_narrowing_replays_and_emits():
     graph = random_dfg(2563, ops=10, width=8, inputs=3, recurrences=1)
     flow = run_flow(graph, "milp-map", XC7,
                     SchedulerConfig(ii=1, tcp=10.0, time_limit=20,
-                                    max_cuts=6),
-                    narrow=True)
+                                    max_cuts=6, narrow=True))
     assert replay_equivalent(flow.schedule, XC7, stream)
     if flow.schedule.ii == 1:
         assert lint_verilog(emit_verilog(flow.schedule)) == []

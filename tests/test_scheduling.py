@@ -1,15 +1,13 @@
-"""Unit tests for the scheduling substrate (SDC, ASAP/ALAP, MII, MRT,
+"""Unit tests for the scheduling substrate (ASAP/ALAP, MII, MRT,
 heuristic modulo scheduler)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchedulingError
 from repro.ir import DFGBuilder
 from repro.scheduling import (
     HeuristicModuloScheduler,
     ModuloReservationTable,
-    SDCSystem,
     alap_schedule,
     asap_schedule,
     minimum_ii,
@@ -17,57 +15,6 @@ from repro.scheduling import (
     res_mii,
 )
 from repro.tech.device import TUTORIAL4, XC7, Device
-
-
-class TestSDC:
-    def test_basic_feasible_chain(self):
-        sdc = SDCSystem()
-        assert sdc.add("a", "b", -1)  # a >= b + 1  (x_a - x_b <= -1 means b-a>=1... )
-        assert sdc.add("b", "c", -1)
-        vals = sdc.values()
-        assert vals["a"] <= vals["b"] - 1 <= vals["c"] - 2
-
-    def test_negative_cycle_rejected_and_rolled_back(self):
-        sdc = SDCSystem()
-        assert sdc.add("a", "b", 2)
-        before = sdc.values()
-        assert not sdc.add("b", "a", -3)
-        assert sdc.values() == before
-        # system still usable afterwards
-        assert sdc.add("b", "a", -2)
-
-    def test_tightening_existing_edge(self):
-        sdc = SDCSystem()
-        assert sdc.add("a", "b", 5)
-        assert sdc.add("a", "b", 2)  # tighter
-        assert sdc.add("a", "b", 9)  # weaker: no-op
-        assert not sdc.add("b", "a", -3)
-
-    def test_require_raises(self):
-        sdc = SDCSystem()
-        sdc.require("a", "b", 0)
-        with pytest.raises(SchedulingError):
-            sdc.require("b", "a", -1)
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10**6))
-    def test_property_solution_satisfies_all_constraints(self, seed):
-        import random
-
-        rng = random.Random(seed)
-        sdc = SDCSystem()
-        accepted = []
-        for _ in range(25):
-            u = rng.randrange(6)
-            v = rng.randrange(6)
-            if u == v:
-                continue
-            c = rng.randint(-3, 6)
-            if sdc.add(u, v, c):
-                accepted.append((u, v, c))
-        vals = sdc.values()
-        for u, v, c in accepted:
-            assert vals[u] - vals[v] <= c + 1e-9
 
 
 def chain_graph(n=5, width=8):

@@ -30,6 +30,7 @@ from repro.experiments import run_flow
 from repro.fuzz.generate import generate_graph, profile_for_seed
 from repro.ir.serialize import schedule_to_dict
 from repro.runtime.fingerprint import flow_fingerprint
+from repro.runtime.trace import Tracer
 from repro.service import (
     FaultPlan,
     InProcessClient,
@@ -122,6 +123,8 @@ def test_parse_request_accepts_minimal_design_payload():
     ({"design": "GSM", "config": {"max_cuts": 12.0}}, "max_cuts"),
     ({"design": "GSM", "config": {"tcp": "10"}}, "tcp must be a number"),
     ({"design": "GSM", "time_budget": True}, "time_budget"),
+    ({"design": "GSM", "config": {"use_mapping": False}},
+     "unknown config field"),
 ])
 def test_parse_request_rejects_malformed_payloads(payload, match):
     with pytest.raises(ProtocolError, match=match):
@@ -395,8 +398,8 @@ def test_flow_cancelled_propagates_phase():
     # rides the terminal event for diagnosis.
     with pytest.raises(FlowCancelled) as info:
         run_flow(BENCHMARKS["CLZ"].build(), "heur-map", config=FAST,
-                 cancel=lambda: True)
-    assert info.value.phase == "cache-load"
+                 tracer=Tracer(cancel=lambda: True))
+    assert info.value.phase == "lint"
 
 
 # ----------------------------------------------------------------------

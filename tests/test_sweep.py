@@ -30,8 +30,7 @@ def _sweep(cls, graph, device, config):
 def test_warm_and_cold_base_sweeps_agree(design):
     """All nine benchmarks, MILP-base: warm start changes nothing."""
     graph, _ = narrow_graph(BENCHMARKS[design].build())
-    cold_cfg = SchedulerConfig(use_mapping=False, presolve=False,
-                               warm_start=False)
+    cold_cfg = SchedulerConfig(presolve=False, warm_start=False)
     warm_cfg = replace(cold_cfg, presolve=True, warm_start=True)
     _, cold = _sweep(BaseScheduler, graph, XC7, cold_cfg)
     _, warm = _sweep(BaseScheduler, graph, XC7, warm_cfg)
