@@ -29,7 +29,15 @@ from ...rtl.parse import (
 from ...rtl.verilog import _ident
 from ...scheduling.schedule import Schedule
 from .aig import AIG, FALSE, TRUE, lit_not
-from .encode import BitVec, adjust, const_bits
+from .encode import (
+    BitVec,
+    _equals_const,
+    _less_than,
+    _ripple_add,
+    _sign_extend,
+    adjust,
+    const_bits,
+)
 from .machines import (
     FrameContext, FrameResult, MachineError, StateElem, _input_name,
     _output_name,
@@ -390,11 +398,11 @@ class RtlMachine:
             arg = self._eval(expr.arg, n)
             if expr.op == "~":
                 return [lit_not(b) for b in arg]
-            return self._ripple(const_bits(aig, 0, n),
-                                [lit_not(b) for b in arg], True)
+            return _ripple_add(aig, const_bits(aig, 0, n),
+                               [lit_not(b) for b in arg], TRUE)
         if isinstance(expr, Signed):
             w = self._self_width(expr.arg)
-            return self._sext(self._eval(expr.arg, w), n)
+            return _sign_extend(aig, self._eval(expr.arg, w), n)
         if isinstance(expr, Ternary):
             cw = self._self_width(expr.cond)
             cond = aig.or_many(self._eval(expr.cond, cw))
@@ -414,12 +422,12 @@ class RtlMachine:
             gate = {"&": aig.and_, "|": aig.or_, "^": aig.xor_}[op]
             return [gate(x, y) for x, y in zip(a, b)]
         if op == "+":
-            return self._ripple(self._eval(expr.left, n),
-                                self._eval(expr.right, n), False)
+            return _ripple_add(aig, self._eval(expr.left, n),
+                               self._eval(expr.right, n), FALSE)
         if op == "-":
             b = self._eval(expr.right, n)
-            return self._ripple(self._eval(expr.left, n),
-                                [lit_not(x) for x in b], True)
+            return _ripple_add(aig, self._eval(expr.left, n),
+                               [lit_not(x) for x in b], TRUE)
         if op == "*":
             a = self._eval(expr.left, n)
             b = self._eval(expr.right, n)
@@ -427,7 +435,7 @@ class RtlMachine:
             for j in range(n):
                 partial = [aig.and_(b[j], x)
                            for x in ([FALSE] * j + a[: n - j])]
-                acc = self._ripple(acc, partial, False)
+                acc = _ripple_add(aig, acc, partial, FALSE)
             return acc
         if op in ("<<", ">>"):
             return self._eval_shift(expr, n)
@@ -459,9 +467,7 @@ class RtlMachine:
         for s in range(n):
             if s >= (1 << len(amt)):
                 break
-            eq = aig.and_many(
-                amt[j] if (s >> j) & 1 else lit_not(amt[j])
-                for j in range(len(amt)))
+            eq = _equals_const(aig, amt, s)
             term = shifted(s)
             acc = [aig.or_(acc[j], aig.and_(eq, term[j])) for j in range(n)]
         # Verilog: amounts >= n shift everything out.
@@ -475,8 +481,8 @@ class RtlMachine:
             else (expr.left, expr.right)
         m = max(self._self_width(la), self._self_width(ra), 1)
         if signed:
-            a = self._sext(self._eval(la, self._self_width(la)), m)
-            b = self._sext(self._eval(ra, self._self_width(ra)), m)
+            a = _sign_extend(aig, self._eval(la, self._self_width(la)), m)
+            b = _sign_extend(aig, self._eval(ra, self._self_width(ra)), m)
             a[m - 1] = lit_not(a[m - 1])
             b[m - 1] = lit_not(b[m - 1])
         else:
@@ -485,40 +491,8 @@ class RtlMachine:
         if expr.op in ("==", "!="):
             eq = aig.and_many(aig.xnor_(x, y) for x, y in zip(a, b))
             return eq if expr.op == "==" else lit_not(eq)
-        lt = FALSE
-        for j in range(m):
-            bit_lt = aig.and_(lit_not(a[j]), b[j])
-            bit_eq = aig.xnor_(a[j], b[j])
-            lt = aig.or_(bit_lt, aig.and_(bit_eq, lt))
-        if expr.op == "<":
-            return lt
-        if expr.op == ">=":
-            return lit_not(lt)
-        if expr.op == ">":
-            return aig.and_(lit_not(lt),
-                            lit_not(aig.and_many(
-                                aig.xnor_(x, y) for x, y in zip(a, b))))
-        # "<=": a <= b  ==  not (b < a); reuse via swapped operands.
-        gt = FALSE
-        for j in range(m):
-            bit_gt = aig.and_(a[j], lit_not(b[j]))
-            bit_eq = aig.xnor_(a[j], b[j])
-            gt = aig.or_(bit_gt, aig.and_(bit_eq, gt))
-        return lit_not(gt)
-
-    def _ripple(self, a: BitVec, b: BitVec, carry_in: bool) -> BitVec:
-        aig = self._fx.aig
-        carry = aig.const(carry_in)
-        out: BitVec = []
-        for j in range(len(a)):
-            axb = aig.xor_(a[j], b[j])
-            out.append(aig.xor_(axb, carry))
-            carry = aig.or_(aig.and_(a[j], b[j]), aig.and_(axb, carry))
-        return out
-
-    def _sext(self, bits: BitVec, width: int) -> BitVec:
-        if not bits:
-            return const_bits(self._fx.aig, 0, width)
-        out = list(bits[:width])
-        out.extend([bits[-1]] * (width - len(out)))
-        return out
+        if expr.op in ("<", ">="):
+            lt = _less_than(aig, a, b)
+            return lt if expr.op == "<" else lit_not(lt)
+        gt = _less_than(aig, b, a)
+        return gt if expr.op == ">" else lit_not(gt)

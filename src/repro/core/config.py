@@ -8,16 +8,11 @@ from ..errors import SchedulingError
 
 __all__ = ["SchedulerConfig"]
 
-#: MILP backends :meth:`repro.milp.model.Model.solve` accepts.
-_BACKENDS = ("scipy", "bnb")
-
 #: Knobs that must be ``int`` (never ``bool``), and knobs that take any
-#: non-bool number and are stored as ``float``; the optional ones also
-#: take ``None``.
-_INT_FIELDS = ("ii", "latency_bound", "latency_margin", "max_cuts",
-               "partition_size", "partition_rounds")
-_FLOAT_FIELDS = ("tcp", "alpha", "beta", "time_limit", "mip_rel_gap")
-_OPTIONAL_FIELDS = frozenset({"latency_bound", "time_limit", "mip_rel_gap"})
+#: non-bool number and are stored as ``float`` (``time_limit`` also
+#: takes ``None``).
+_INT_FIELDS = ("ii", "max_cuts", "partition_size", "partition_rounds")
+_FLOAT_FIELDS = ("tcp", "alpha", "beta", "time_limit")
 
 
 @dataclass(frozen=True)
@@ -32,26 +27,15 @@ class SchedulerConfig:
         Target clock period, ns.
     alpha / beta:
         Eq. 15 trade-off weights for LUT vs register bits (paper: 0.5/0.5).
-    latency_bound:
-        Horizon ``M`` on pipeline cycles. ``None`` derives it from the
-        additive-delay heuristic schedule (always sufficient: mapping can
-        only shorten a schedule) plus ``latency_margin``.
-    latency_margin:
-        Extra cycles added to the derived horizon (resource conflicts can
-        push black boxes past the additive ASAP).
     time_limit:
         Solver wall-clock cap in seconds (the paper used 3600); best
         incumbent is accepted, mirroring Sec. 4.
-    backend:
-        MILP backend: ``"scipy"`` (HiGHS) or ``"bnb"``.
     max_cuts:
         Merged-cut cap per node passed to the enumerator.
     paper_objective:
         True = cost every selected root ``Bits(v)`` LUTs exactly as Eq. 15;
         False (default) = refined per-cut LUT costs (free wiring, operator
         area; DESIGN.md note on Eq. 15).
-    mip_rel_gap:
-        Optional relative MIP gap passed to the solver.
     narrow:
         Run :func:`repro.ir.transforms.narrow_graph` before cut
         enumeration and MILP construction (dataflow-proven width
@@ -60,12 +44,11 @@ class SchedulerConfig:
         narrowing switch, so it is part of every fingerprint.
     presolve:
         Run :func:`repro.milp.presolve.presolve` on every scheduling
-        model before handing it to the backend (``--no-presolve`` to
+        model before handing it to HiGHS (``--no-presolve`` to
         ablate; see docs/performance.md).
     warm_start:
         Seed each solve with the list-scheduling heuristic's feasible
-        schedule at the same II: a cutoff constraint for the scipy
-        backend, an incumbent + branching hints for bnb
+        schedule at the same II, as a cutoff constraint on the objective
         (``--no-warm-start`` to ablate).
     partition:
         Solve via subgraph decomposition (:mod:`repro.partition`): cut the
@@ -93,13 +76,9 @@ class SchedulerConfig:
     tcp: float = 10.0
     alpha: float = 0.5
     beta: float = 0.5
-    latency_bound: int | None = None
-    latency_margin: int = 2
     time_limit: float | None = 120.0
-    backend: str = "scipy"
     max_cuts: int = 12
     paper_objective: bool = False
-    mip_rel_gap: float | None = None
     narrow: bool = True
     presolve: bool = True
     warm_start: bool = True
@@ -116,14 +95,12 @@ class SchedulerConfig:
                     f"{name} must be true or false, got {value!r}")
         for name in _INT_FIELDS:
             value = getattr(self, name)
-            if value is None and name in _OPTIONAL_FIELDS:
-                continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SchedulingError(
                     f"{name} must be an integer, got {value!r}")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if value is None and name in _OPTIONAL_FIELDS:
+            if value is None and name == "time_limit":
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SchedulingError(
@@ -137,25 +114,12 @@ class SchedulerConfig:
             raise SchedulingError(f"Tcp must be positive, got {self.tcp}")
         if self.alpha < 0 or self.beta < 0:
             raise SchedulingError("alpha and beta must be non-negative")
-        if self.latency_bound is not None and self.latency_bound < 1:
-            raise SchedulingError(
-                f"latency_bound must be >= 1, got {self.latency_bound}")
-        if self.latency_margin < 0:
-            raise SchedulingError(
-                f"latency_margin must be >= 0, got {self.latency_margin}")
         if self.time_limit is not None and self.time_limit <= 0:
             raise SchedulingError(
                 f"time_limit must be positive, got {self.time_limit}")
-        if self.backend not in _BACKENDS:
-            raise SchedulingError(
-                f"backend must be one of {', '.join(_BACKENDS)}, "
-                f"got {self.backend!r}")
         if self.max_cuts < 0:
             raise SchedulingError(
                 f"max_cuts must be >= 0, got {self.max_cuts}")
-        if self.mip_rel_gap is not None and self.mip_rel_gap < 0:
-            raise SchedulingError(
-                f"mip_rel_gap must be >= 0, got {self.mip_rel_gap}")
         if self.partition_size < 1:
             raise SchedulingError(
                 f"partition_size must be >= 1, got {self.partition_size}")
@@ -167,11 +131,10 @@ class SchedulerConfig:
         """The fields hashed into a flow-cache fingerprint.
 
         Every result-affecting field is included: all of them can change
-        the produced schedule (``time_limit`` and ``backend`` change
-        which incumbent is accepted; ``narrow`` changes the scheduled
-        graph). Runtime-only knobs such as the jobs count or the cache
-        directory deliberately live *outside* this config so they never
-        perturb fingerprints.
+        the produced schedule (``time_limit`` changes which incumbent is
+        accepted; ``narrow`` changes the scheduled graph). Runtime-only
+        knobs such as the jobs count or the cache directory deliberately
+        live *outside* this config so they never perturb fingerprints.
         """
         import dataclasses
 

@@ -30,6 +30,10 @@ from .verify import verify_schedule
 
 __all__ = ["MapScheduler", "BaseScheduler"]
 
+#: Cycles added to the additive-delay horizon: resource conflicts can push
+#: black boxes past the additive ASAP.
+_HORIZON_MARGIN = 2
+
 
 class MapScheduler:
     """Mapping-aware modulo scheduling via MILP (the paper's contribution)."""
@@ -74,14 +78,12 @@ class MapScheduler:
         return self.cuts
 
     def _horizon(self) -> int:
-        if self.config.latency_bound is not None:
-            return self.config.latency_bound
         heuristic = HeuristicModuloScheduler(self.graph, self.device,
                                              self.config.tcp)
         # The additive-delay latency upper-bounds the mapped latency; the
         # margin absorbs modulo packing of constrained black boxes.
         latency = heuristic.asap_latency()
-        return max(1, latency) + self.config.latency_margin
+        return max(1, latency) + _HORIZON_MARGIN
 
     # ------------------------------------------------------------------
     def schedule(self) -> Schedule:
@@ -189,7 +191,7 @@ class MapScheduler:
                 solve_model = reduced
 
         # Warm start: heuristic schedule -> model assignment -> cutoff
-        # constraint (scipy) or incumbent + branch hints (bnb).
+        # constraint on the objective.
         warm_values = None
         warm_sched = None
         if config.warm_start:
@@ -214,39 +216,25 @@ class MapScheduler:
                 if reason:
                     span.meta["reason"] = reason
 
-        solver_kwargs: dict = {}
         if warm_values is not None:
-            restricted = (post.restrict(warm_values) if post is not None
-                          else dict(warm_values))
-            if config.backend == "scipy" and solve_model.sense == "min":
-                # HiGHS has no warm-start hook through scipy; an upper
-                # cutoff on the objective prunes everything worse than
-                # the heuristic. The slack keeps the optimum itself
-                # comfortably inside the feasible region.
-                obj = solve_model.objective
-                warm_obj = model.objective.value(warm_values)
-                slack = 1e-6 * max(1.0, abs(warm_obj))
-                solve_model.add(
-                    Constraint(
-                        LinExpr(dict(obj.coeffs),
-                                obj.constant - (warm_obj + slack)),
-                        "<=",
-                    ),
-                    name="warm_cutoff",
-                )
-            elif config.backend == "bnb":
-                solver_kwargs["warm_start"] = restricted
-                solver_kwargs["branch_hints"] = restricted
-
-        if config.backend == "scipy":
-            solver_kwargs["mip_rel_gap"] = config.mip_rel_gap
-        with self.tracer.span("solve", method=self.method_name,
-                              backend=config.backend) as span:
-            solution = solve_model.solve(
-                backend=config.backend,
-                time_limit=config.time_limit,
-                **solver_kwargs,
+            # HiGHS has no warm-start hook through scipy; an upper cutoff
+            # on the objective prunes everything worse than the heuristic.
+            # The slack keeps the optimum itself comfortably inside the
+            # feasible region.
+            obj = solve_model.objective
+            warm_obj = model.objective.value(warm_values)
+            slack = 1e-6 * max(1.0, abs(warm_obj))
+            solve_model.add(
+                Constraint(
+                    LinExpr(dict(obj.coeffs),
+                            obj.constant - (warm_obj + slack)),
+                    "<=",
+                ),
+                name="warm_cutoff",
             )
+
+        with self.tracer.span("solve", method=self.method_name) as span:
+            solution = solve_model.solve(time_limit=config.time_limit)
             if post is not None:
                 solution = post.expand(solution)
             span.meta["status"] = solution.status
@@ -272,7 +260,7 @@ class MapScheduler:
                     f"time cap too tight: solver hit the "
                     f"{config.time_limit}s limit on {self.graph.name} "
                     f"({model.num_constraints} constraints) before finding "
-                    f"any incumbent — raise time_limit or loosen mip_rel_gap"
+                    f"any incumbent — raise time_limit"
                 )
         if not solution.ok:
             raise SolverError(

@@ -124,8 +124,7 @@ def sweep_alpha_beta(design: str = "GFMUL", weights: list[float] | None = None,
     for alpha in weights or [0.0, 0.25, 0.5, 0.75, 1.0]:
         config = SchedulerConfig(
             ii=base.ii, tcp=base.tcp, alpha=alpha, beta=1.0 - alpha,
-            time_limit=base.time_limit, backend=base.backend,
-            max_cuts=base.max_cuts,
+            time_limit=base.time_limit, max_cuts=base.max_cuts,
         )
         tasks.append((design, alpha, device, config, cache_dir))
     return run_parallel(tasks, _alpha_beta_point, jobs=jobs)

@@ -19,8 +19,8 @@ bitblast    word-level functional simulation vs. the bit-blasted
 narrow      ``narrow_graph`` input/output equivalence
 schedule    milp-map vs. milp-base vs. heur-map: independent verifier
             plus cost sanity (map <= base objective at optimality)
-backend     scipy (HiGHS) vs. branch-and-bound MILP objective
-            agreement on the mapping-aware model
+backend     HiGHS vs. the branch-and-bound reference: optimal
+            objective agreement on the mapping-aware model
 rtl         Verilog emission + self-checking testbench through the
             structural linter
 equiv       symbolic translation validation: narrowing, cut cover and
@@ -45,7 +45,8 @@ from ..errors import (
     ScheduleVerificationError,
     SolverError,
 )
-from ..milp.model import SolveStatus
+from ..ir.graph import CDFG
+from ..milp.model import Model, SolveStatus
 from ..sim.functional import FunctionalSimulator
 from ..sim.pipeline import PipelineSimulator
 from ..tech.device import XC7, Device
@@ -253,30 +254,35 @@ def oracle_schedule(case: FuzzCase) -> Divergence | None:
     return None
 
 
-def oracle_backend(case: FuzzCase) -> Divergence | None:
-    """scipy (HiGHS) vs. the pure-python branch-and-bound backend must
-    agree on the optimal objective of the mapping-aware MILP."""
-    import dataclasses
-
+def _milp_map_model(case: FuzzCase, graph: CDFG) -> Model:
+    """The milp-map MILP a scheduler builds for ``graph`` at the case's
+    config, before presolve or a warm start touches it."""
+    from ..core.formulation import MappingAwareFormulation
     from ..core.mapsched import MapScheduler
 
+    scheduler = MapScheduler(graph, case.device, case.config)
+    scheduler.enumerate()
+    return MappingAwareFormulation(
+        graph, scheduler.cuts, case.device, case.config,
+        scheduler._horizon()).build()
+
+
+def oracle_backend(case: FuzzCase) -> Divergence | None:
+    """HiGHS, which schedules, and the pure-python branch-and-bound
+    reference must agree on the optimal objective of the mapping-aware
+    MILP."""
     if case.graph.num_operations > 20 or case.graph.total_bits() > 48:
         raise SkipOracle("model too large for the bnb backend")
     scipy_sched = case.flow("milp-map").schedule
     if not scipy_sched.optimal:
         raise SkipOracle("scipy solve not proved optimal")
-    bnb_config = dataclasses.replace(case.config, backend="bnb",
-                                     time_limit=20.0)
-    try:
-        # Same graph the scipy flow actually scheduled (run_flow may have
-        # narrowed it) — otherwise the two backends solve different models.
-        bnb_sched = MapScheduler(scipy_sched.graph, case.device,
-                                 bnb_config).schedule()
-    except SolverError as exc:
-        raise SkipOracle(f"bnb gave up: {exc}") from exc
-    if not bnb_sched.optimal:
-        raise SkipOracle("bnb solve not proved optimal")
-    a, b = scipy_sched.objective, bnb_sched.objective
+    # Same graph the scipy flow actually scheduled (run_flow may have
+    # narrowed it) — otherwise the two backends solve different models.
+    bnb = _milp_map_model(case, scipy_sched.graph).solve(
+        "bnb", time_limit=20.0, presolve=True)
+    if bnb.status != SolveStatus.OPTIMAL:
+        raise SkipOracle(f"bnb solve not proved optimal ({bnb.status})")
+    a, b = scipy_sched.objective, bnb.objective
     if a is not None and b is not None \
             and abs(a - b) > 1e-4 * max(1.0, abs(a)):
         return Divergence(
@@ -292,26 +298,13 @@ def oracle_presolve(case: FuzzCase) -> Divergence | None:
     expanded back through :class:`~repro.milp.Postsolve`, must match a
     raw solve's status and objective, and its assignment must satisfy
     every *original* constraint."""
-    import dataclasses
-
-    from ..core.formulation import MappingAwareFormulation
-    from ..core.mapsched import MapScheduler
-
     # Both solves are scipy/HiGHS, so this gate can afford to be much
     # looser than the bnb-bound backend oracle's.
     if case.graph.num_operations > 64 or case.graph.total_bits() > 256:
         raise SkipOracle("model too large for a double solve")
     # Same graph the scipy flow actually scheduled (run_flow may have
     # narrowed it) — presolve must be safe on the model that flow solved.
-    sched = case.flow("milp-map").schedule
-    config = dataclasses.replace(case.config, presolve=False,
-                                 warm_start=False)
-    scheduler = MapScheduler(sched.graph, case.device, config)
-    scheduler.enumerate()
-    formulation = MappingAwareFormulation(
-        sched.graph, scheduler.cuts, case.device, config,
-        scheduler._horizon())
-    model = formulation.build()
+    model = _milp_map_model(case, case.flow("milp-map").schedule.graph)
     raw = model.solve(backend="scipy", time_limit=20.0)
     pre = model.solve(backend="scipy", time_limit=20.0, presolve=True)
     if raw.status != pre.status:

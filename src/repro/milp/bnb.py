@@ -1,19 +1,16 @@
 """A pure-Python branch-and-bound MILP solver.
 
-Educational/backup backend: LP relaxations are solved with HiGHS's *LP*
+The reference backend: LP relaxations are solved with HiGHS's *LP*
 solver (``scipy.optimize.linprog``), and integrality is enforced by
 branching. It is orders of magnitude slower than
-:mod:`repro.milp.scipy_backend` on large models but exercises the same
-:class:`~repro.milp.model.Model` contract and is handy for verifying the
-production backend on small instances (the test suite cross-checks the
-two).
+:mod:`repro.milp.scipy_backend`, which every scheduler solves with, but
+exercises the same :class:`~repro.milp.model.Model` contract, so the
+test suite and the ``backend`` fuzz oracle check HiGHS's answers against
+it on small models.
 
 The search is best-bound with several of the devices a real MIP solver
 leans on (see ``docs/performance.md`` for measurements):
 
-* **warm starts** — a caller-supplied feasible assignment becomes the
-  initial incumbent after re-validation with :meth:`Model.check`, so
-  pruning starts at the root instead of after the first dive;
 * **bound lifting** — when the objective restricted to the model is
   provably integral (all-integer support, integral coefficients), every
   LP bound is rounded up to the next integer, which closes unit-sized
@@ -23,8 +20,8 @@ leans on (see ``docs/performance.md`` for measurements):
   (product score); variables with no history yet fall back to
   most-fractional selection so early branches still learn;
 * **a dive heuristic** — bounded LP re-solves (``_DIVE_LPS``) that round
-  the relaxation toward ``branch_hints`` to manufacture an incumbent
-  early when the caller could not supply one;
+  the relaxation to the nearest integer to manufacture an incumbent
+  early;
 * **lazy pruning** — nodes are pruned against the incumbent both at push
   and at pop time (the heap is never rebuilt), and an exhausted search
   whose surviving heap entries are all prunable reports ``OPTIMAL``, not
@@ -41,7 +38,6 @@ import heapq
 import itertools
 import math
 import time
-from typing import Mapping
 
 import numpy as np
 from scipy import optimize, sparse
@@ -136,28 +132,17 @@ def _pick_branch_var(x: np.ndarray, ivs: np.ndarray, pc_sum: np.ndarray,
 
 def solve_branch_and_bound(model: Model, time_limit: float | None = None,
                            max_nodes: int = 200000,
-                           mip_abs_gap: float = 1e-6,
-                           mip_rel_gap: float | None = None,
-                           warm_start: Mapping[int, float] | None = None,
-                           branch_hints: Mapping[int, float] | None = None,
-                           ) -> Solution:
+                           mip_abs_gap: float = 1e-6) -> Solution:
     """Solve ``model`` by branch and bound over LP relaxations.
 
-    ``warm_start`` is a feasible original-space assignment (variable
-    index -> value); it is re-validated with :meth:`Model.check` and
-    silently ignored when stale, so callers may pass best-effort hints.
-    ``branch_hints`` biases the dive heuristic's rounding direction
-    (typically the schedule found at a previous II).
+    A node is pruned when its bound is within ``mip_abs_gap`` of the
+    incumbent. Variable-free models are decided by
+    :meth:`Model.solve` before any backend runs.
     """
-    if model.num_vars == 0:
-        return Solution(status=SolveStatus.OPTIMAL,
-                        objective=model.objective.value({}), values={})
-
     c, a_ub, b_ub, a_eq, b_eq = _relaxation_matrices(model)
     int_vars = [v.index for v in model.variables if v.kind != "continuous"]
     base_lo = np.array([v.lo for v in model.variables], dtype=float)
     base_hi = np.array([v.hi for v in model.variables], dtype=float)
-    hints = dict(branch_hints or {})
     ivs = np.array(int_vars, dtype=np.intp)
 
     # Bound lifting is sound when c.x is integral at every integer point:
@@ -189,24 +174,12 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
 
     incumbent: np.ndarray | None = None
     incumbent_obj = np.inf
-    warm_used = False
-
-    def prune_eps() -> float:
-        if mip_rel_gap is not None and np.isfinite(incumbent_obj):
-            return max(mip_abs_gap, mip_rel_gap * abs(incumbent_obj))
-        return mip_abs_gap
 
     def offer_incumbent(x: np.ndarray, obj: float) -> None:
         nonlocal incumbent, incumbent_obj
         if obj < incumbent_obj - _EPS:
             incumbent = x.copy()
             incumbent_obj = obj
-
-    if warm_start and not model.check(warm_start):
-        xw = np.array([float(warm_start.get(v.index, 0.0))
-                       for v in model.variables])
-        offer_incumbent(xw, float(c @ xw))
-        warm_used = incumbent is not None
 
     root = solve_lp(base_lo, base_hi)
     if root.status == 2:
@@ -218,7 +191,7 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
                         message=str(root.message))
 
     def dive(x0: np.ndarray, lo0: np.ndarray, hi0: np.ndarray) -> None:
-        """Round-and-refix primal heuristic: hint-directed rounding."""
+        """Round-and-refix primal heuristic: nearest-integer rounding."""
         lo, hi = lo0.copy(), hi0.copy()
         x = x0
         for _ in range(_DIVE_LPS):
@@ -228,9 +201,7 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
             if j is None:
                 offer_incumbent(x, float(c @ x))
                 return
-            target = hints.get(j)
-            val = round(target) if target is not None else round(x[j])
-            val = min(max(val, lo[j]), hi[j])
+            val = min(max(round(x[j]), lo[j]), hi[j])
             lo[j] = hi[j] = float(val)
             res = solve_lp(lo, hi)
             if res.status != 0:
@@ -239,13 +210,13 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
 
     if _most_fractional(root.x, ivs) is None:
         offer_incumbent(root.x, float(root.fun))
-    elif incumbent is None:
+    else:
         dive(root.x, base_lo, base_hi)
 
     counter = itertools.count()
     heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray]] = []
     root_bound = lift(float(root.fun))
-    if root_bound < incumbent_obj - prune_eps():
+    if root_bound < incumbent_obj - mip_abs_gap:
         heapq.heappush(heap, (root_bound, next(counter), root.x,
                               base_lo, base_hi))
 
@@ -262,7 +233,7 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
             hit_limit = True
             break
         bound, _, x, lo, hi = heapq.heappop(heap)
-        if bound >= incumbent_obj - prune_eps():
+        if bound >= incumbent_obj - mip_abs_gap:
             continue  # stale entry: pruned lazily, heap never rebuilt
         nodes += 1
 
@@ -290,7 +261,7 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
             pc_sum[side, frac_var] += degrade / max(share, _EPS)
             pc_count[side, frac_var] += 1.0
             child_bound = lift(float(res.fun))
-            if child_bound >= incumbent_obj - prune_eps():
+            if child_bound >= incumbent_obj - mip_abs_gap:
                 continue
             if _most_fractional(res.x, ivs) is None:
                 # Integral child: incumbent immediately, nothing to push.
@@ -319,8 +290,7 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
     # Drain check: surviving heap entries that cannot beat the incumbent
     # do not make the solution non-optimal — a limit-terminated search
     # whose frontier is fully prunable has in fact been exhausted.
-    eps = prune_eps()
-    open_bounds = [b for b, *_ in heap if b < incumbent_obj - eps]
+    open_bounds = [b for b, *_ in heap if b < incumbent_obj - mip_abs_gap]
     if open_bounds:
         status = SolveStatus.FEASIBLE
         gap = (incumbent_obj - min(open_bounds)) / max(1.0, abs(incumbent_obj))
@@ -329,5 +299,4 @@ def solve_branch_and_bound(model: Model, time_limit: float | None = None,
         gap = 0.0
     return Solution(status=status, objective=objective, values=values,
                     gap=gap, message=f"nodes={nodes} lps={lps}",
-                    stats={"nodes": nodes, "lps": lps,
-                           "warm_start": warm_used})
+                    stats={"nodes": nodes, "lps": lps})

@@ -323,7 +323,13 @@ class Model:
         ``Solution.stats["presolve"]``). Schedulers drive presolve
         explicitly for span accounting; this flag is the convenience
         path used by tests and the fuzz oracle.
+
+        A model without variables is decided here for every backend:
+        ``INFEASIBLE`` when a constant row is violated, else ``OPTIMAL``
+        at the objective's constant.
         """
+        if backend not in ("scipy", "bnb"):
+            raise ModelError(f"unknown backend {backend!r}")
         start = time.perf_counter()
         if presolve:
             from .presolve import presolve as run_presolve
@@ -342,15 +348,18 @@ class Model:
             sol.stats["presolve"] = post.stats.to_dict()
             sol.solve_seconds = time.perf_counter() - start
             return sol
-        if backend == "scipy":
+        if self.num_vars == 0:
+            sol = (Solution(status=SolveStatus.INFEASIBLE, objective=None)
+                   if self.check({}) else
+                   Solution(status=SolveStatus.OPTIMAL,
+                            objective=self.objective.value({})))
+        elif backend == "scipy":
             from .scipy_backend import solve_scipy
 
             sol = solve_scipy(self, time_limit=time_limit, **options)
-        elif backend == "bnb":
+        else:
             from .bnb import solve_branch_and_bound
 
             sol = solve_branch_and_bound(self, time_limit=time_limit, **options)
-        else:
-            raise ModelError(f"unknown backend {backend!r}")
         sol.solve_seconds = time.perf_counter() - start
         return sol

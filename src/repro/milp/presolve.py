@@ -42,8 +42,7 @@ Every reduction preserves the set of optimal solutions up to the values
 of substituted variables, which the returned :class:`Postsolve` restores
 — :meth:`Postsolve.expand` lifts a reduced-space :class:`Solution` back
 to the original variable space (objective recomputed against the
-original model), and :meth:`Postsolve.restrict` projects a feasible
-original-space assignment (a warm start) onto the reduced model.
+original model).
 Correctness is cross-checked dynamically by the ``presolve`` fuzz oracle
 (see ``docs/fuzzing.md``) and statically by ``tests/test_presolve.py``.
 """
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .model import Constraint, LinExpr, Model, Solution, SolveStatus
 
@@ -152,18 +150,6 @@ class Postsolve:
             solve_seconds=solution.solve_seconds, gap=solution.gap,
             message=solution.message, stats=dict(solution.stats),
         )
-
-    def restrict(self, values: Mapping[int, float]) -> dict[int, float]:
-        """Project an original-space assignment onto the reduced model.
-
-        Intended for warm starts: any *feasible* original assignment
-        agrees with every propagation-implied fixing, so the projection
-        of a feasible point stays feasible in the reduced model.
-        """
-        return {
-            reduced_idx: float(values.get(orig_idx, 0.0))
-            for reduced_idx, orig_idx in self.index_map.items()
-        }
 
 
 class _Row:

@@ -59,18 +59,17 @@ def _lower(model: Model):
 
 
 def solve_scipy(model: Model, time_limit: float | None = None,
-                mip_rel_gap: float | None = None,
                 disp: bool = False) -> Solution:
-    """Solve ``model`` with HiGHS; returns a :class:`Solution`."""
-    if model.num_vars == 0:
-        return Solution(status=SolveStatus.OPTIMAL, objective=0.0, values={})
+    """Solve ``model`` with HiGHS; returns a :class:`Solution`.
+
+    Variable-free models are decided by :meth:`Model.solve` before any
+    backend runs.
+    """
     c, a, lb_con, ub_con, lo, hi, integrality = _lower(model)
 
     options: dict = {"disp": disp}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    if mip_rel_gap is not None:
-        options["mip_rel_gap"] = float(mip_rel_gap)
 
     constraints = (
         optimize.LinearConstraint(a, lb_con, ub_con)

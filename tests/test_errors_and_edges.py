@@ -55,8 +55,7 @@ class TestSchedulerConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("time_limit", 0), ("time_limit", -1.0), ("max_cuts", -1),
-        ("latency_margin", -1), ("latency_bound", 0), ("mip_rel_gap", -0.1),
-        ("backend", "gurobi"), ("narrow", "false"), ("presolve", 1),
+        ("narrow", "false"), ("presolve", 1),
     ])
     def test_rejects_out_of_range_knobs(self, field, value):
         # Library and CLI callers construct the config directly; the
@@ -65,11 +64,8 @@ class TestSchedulerConfig:
             SchedulerConfig(**{field: value})
 
     def test_accepts_range_edges(self):
-        cfg = SchedulerConfig(time_limit=None, max_cuts=0, latency_margin=0,
-                              latency_bound=1, mip_rel_gap=0.0,
-                              backend="bnb", narrow=False)
-        assert cfg.latency_bound == 1
-        assert SchedulerConfig(mip_rel_gap=None).mip_rel_gap is None
+        cfg = SchedulerConfig(time_limit=None, max_cuts=0, narrow=False)
+        assert cfg.time_limit is None and cfg.max_cuts == 0
 
     def test_frozen(self):
         cfg = SchedulerConfig()

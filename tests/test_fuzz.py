@@ -26,9 +26,11 @@ from repro.fuzz import (
     save_entry,
     shrink,
 )
+from repro.fuzz.runner import FuzzTask, _case_for_task
 from repro.fuzz.shrink import drop_node
 from repro.ir.types import OpKind
 from repro.ir.validate import check_problems
+from repro.milp import bnb
 from repro.tech.device import XC7
 
 FAST = SchedulerConfig(ii=1, tcp=10.0, time_limit=20.0, max_cuts=8)
@@ -111,6 +113,32 @@ class TestOracles:
         for name in ("sim-replay", "schedule", "rtl", "backend"):
             result = run_oracle(name, case)
             assert result.status in ("pass", "skip"), (name, result.message)
+
+    @pytest.mark.parametrize("seed", [135, 207])
+    def test_backend_oracle_compares_on_small_seeds(self, seed):
+        # Most campaign seeds are too large for bnb and skip; these two
+        # reach the HiGHS-vs-bnb comparison.
+        case = FuzzCase(_case_for_task(FuzzTask(seed=seed)), config=FAST)
+        result = run_oracle("backend", case)
+        assert result.status == "pass", result.message
+
+    def test_backend_oracle_flags_a_worse_bnb_point(self, monkeypatch):
+        real = bnb.solve_branch_and_bound
+
+        def one_worse(model, **kwargs):
+            # Cut the true optimum off so bnb returns a point a full unit
+            # worse, still labelled optimal.
+            best = real(model, **kwargs)
+            model.add(model.objective >= best.objective + 1.0)
+            return real(model, **kwargs)
+
+        monkeypatch.setattr(bnb, "solve_branch_and_bound", one_worse)
+        case = FuzzCase(_case_for_task(FuzzTask(seed=135)), config=FAST)
+        result = run_oracle("backend", case)
+        assert result.status == "diverge", result.message
+        assert result.divergence.kind == "cost"
+        details = result.divergence.details
+        assert details["bnb"] >= details["scipy"] + 1.0 - 1e-6
 
     def test_sim_replay_catches_broken_semantics(self):
         # A graph whose schedule is fine but whose replay we sabotage via

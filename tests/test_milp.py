@@ -86,6 +86,8 @@ class TestModel:
         m.binary("x")
         with pytest.raises(ModelError, match="unknown backend"):
             m.solve("cplex")
+        with pytest.raises(ModelError, match="unknown backend"):
+            Model().solve("cplex")
 
 
 class TestBackends:
@@ -136,6 +138,23 @@ class TestBackends:
         m = Model()
         sol = m.solve("scipy")
         assert sol.status == SolveStatus.OPTIMAL and sol.objective == 0.0
+
+    @pytest.mark.parametrize("backend", ["scipy", "bnb"])
+    def test_variable_free_violated_row_is_infeasible(self, backend):
+        m = Model()
+        m.add(LinExpr({}, 1.0) <= 0)
+        sol = m.solve(backend)
+        assert sol.status == SolveStatus.INFEASIBLE
+        assert sol.objective is None
+
+    @pytest.mark.parametrize("backend", ["scipy", "bnb"])
+    def test_variable_free_objective_is_its_constant(self, backend):
+        m = Model()
+        m.add(LinExpr({}, -1.0) <= 0)
+        m.minimize(LinExpr({}, 5.0))
+        sol = m.solve(backend)
+        assert sol.status == SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(5.0)
 
     def test_solution_getitem_default(self):
         m = Model()

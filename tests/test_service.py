@@ -125,6 +125,14 @@ def test_parse_request_accepts_minimal_design_payload():
     ({"design": "GSM", "time_budget": True}, "time_budget"),
     ({"design": "GSM", "config": {"use_mapping": False}},
      "unknown config field"),
+    ({"design": "GSM", "config": {"backend": "scipy"}},
+     "unknown config field"),
+    ({"design": "GSM", "config": {"latency_bound": 8}},
+     "unknown config field"),
+    ({"design": "GSM", "config": {"latency_margin": 2}},
+     "unknown config field"),
+    ({"design": "GSM", "config": {"mip_rel_gap": 0.01}},
+     "unknown config field"),
 ])
 def test_parse_request_rejects_malformed_payloads(payload, match):
     with pytest.raises(ProtocolError, match=match):
