@@ -30,12 +30,16 @@ Popcounts use ``np.bitwise_count`` when the installed numpy has it
 
 Cones are never re-walked from scratch: the cut enumerator composes
 :meth:`PackedSupportCalculator.transfer` over the packed rows of the cuts
-it merges.
+it merges. Every transfer ORs one independent term per operand slot into
+its output, so the transfer of a set of slots is :func:`or_rows` of the
+single-slot transfers; :func:`max_support_product` uses that identity to
+K-filter every merge combination of a node in one batched popcount.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import math
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +54,8 @@ __all__ = [
     "PackedSupportCalculator",
     "popcount_rows",
     "max_popcount",
+    "max_support_product",
+    "or_rows",
     "rows_to_ints",
     "ints_to_rows",
 ]
@@ -59,6 +65,12 @@ _U64 = np.dtype("<u8")
 # uint8 popcount lookup table; fallback for numpy < 2.0 (no np.bitwise_count).
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _BITWISE_COUNT = getattr(np, "bitwise_count", None)
+
+# uint64 words per OR block of max_support_product (2 MiB): every merge
+# product of the nine Table 1 designs fits in one block, and a capped
+# product (up to max_candidates combinations, each a (width, words)
+# matrix over a wide cone) never materializes at once.
+_BLOCK_WORDS = 1 << 18
 
 
 class Rows:
@@ -82,6 +94,14 @@ class Rows:
         return self.hi <= self.lo
 
 
+def _row_counts(mat: np.ndarray) -> np.ndarray:
+    """Set bits per row (the last axis) of a uint64 array of any rank."""
+    if _BITWISE_COUNT is not None:
+        return _BITWISE_COUNT(mat).sum(axis=-1, dtype=np.int64)
+    as_bytes = np.ascontiguousarray(mat).view(np.uint8)
+    return _POP8[as_bytes].sum(axis=-1, dtype=np.int64)
+
+
 def popcount_rows(rows: Rows | np.ndarray) -> np.ndarray:
     """Per-row set-bit counts of a packed matrix."""
     if isinstance(rows, Rows):
@@ -90,11 +110,7 @@ def popcount_rows(rows: Rows | np.ndarray) -> np.ndarray:
         mat = rows
     if mat.shape[1] == 0:
         return np.zeros(mat.shape[0], dtype=np.int64)
-    if _BITWISE_COUNT is not None:
-        return _BITWISE_COUNT(mat).sum(axis=1, dtype=np.int64)
-    as_bytes = np.ascontiguousarray(mat).view(np.uint8).reshape(
-        mat.shape[0], -1)
-    return _POP8[as_bytes].sum(axis=1, dtype=np.int64)
+    return _row_counts(mat)
 
 
 def max_popcount(rows: Rows | np.ndarray) -> int:
@@ -103,6 +119,74 @@ def max_popcount(rows: Rows | np.ndarray) -> int:
     if mat.shape[0] == 0:
         return 0
     return int(popcount_rows(rows).max())
+
+
+def or_rows(terms: Sequence[Rows], width: int, words: int) -> Rows:
+    """OR of ``(width, words)`` matrices under ``transfer``'s range rule.
+
+    The active range is the hull of the non-empty terms' ranges, and
+    ``[0, 0)`` when there are none, so ``or_rows`` of the single-slot
+    transfers of a node equals the node's transfer of all those slots,
+    ``lo`` and ``hi`` included. A lone non-empty term is returned as is.
+    """
+    live = [t for t in terms if not t.empty]
+    if len(live) == 1:
+        return live[0]
+    out = np.zeros((width, words), dtype=_U64)
+    if not live:
+        return Rows(out, 0, 0)
+    for t in live:
+        out[:, t.lo:t.hi] |= t.mat[:, t.lo:t.hi]
+    return Rows(out, min(t.lo for t in live), max(t.hi for t in live))
+
+
+def max_support_product(terms: Sequence[Sequence[Rows]]) -> np.ndarray:
+    """``max_popcount`` of the OR of every pick of one term per slot.
+
+    ``terms[i]`` holds the single-slot transfers of slot ``i``'s choices,
+    all ``(width, words)`` matrices of one node. Returns one int64 per
+    combination, flat in ``itertools.product`` order; with no slots the
+    product is the one empty combination, whose support is 0. The OR is
+    broadcast across slots in blocks of at most ``_BLOCK_WORDS`` words, or
+    of one output bit of one combination when that alone is larger.
+    """
+    best = np.zeros(math.prod(len(t) for t in terms), dtype=np.int64)
+    live = [r for t in terms for r in t if not r.empty]
+    if not live:
+        return best
+    lo = min(r.lo for r in live)
+    hi = max(r.hi for r in live)
+    width = live[0].mat.shape[0]
+    step = min(width, max(1, _BLOCK_WORDS // (hi - lo)))
+    for r0 in range(0, width, step):
+        stacks = [np.stack([r.mat[r0:r0 + step, lo:hi] for r in t])
+                  for t in terms]
+        _fold_max_support(best, None, stacks)
+    return best
+
+
+def _fold_max_support(best: np.ndarray, prefix: np.ndarray | None,
+                      stacks: list[np.ndarray]) -> None:
+    """Fold into ``best`` the max row popcount of ``prefix`` ORed with
+    every pick of one ``(rows, words)`` matrix per stack, in product order."""
+    head, rest = stacks[0], stacks[1:]
+    inner = math.prod(len(s) for s in rest)
+    unit = inner * head[0].size
+    if rest and unit > _BLOCK_WORDS:
+        for c in range(len(head)):
+            term = head[c] if prefix is None else prefix | head[c]
+            _fold_max_support(best[c * inner:(c + 1) * inner], term, rest)
+        return
+    step = max(1, _BLOCK_WORDS // unit)
+    for a in range(0, len(head), step):
+        block = head[a:a + step]
+        if prefix is not None:
+            block = block | prefix
+        for s in rest:
+            block = block[..., None, :, :] | s
+        counts = _row_counts(block).max(axis=-1).ravel()
+        view = best[a * inner:a * inner + counts.size]
+        np.maximum(view, counts, out=view)
 
 
 def rows_to_ints(rows: Rows | np.ndarray) -> list[int]:

@@ -19,15 +19,18 @@ boundaries.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..bitdeps.dep import word_dep_sources
 from ..bitdeps.packed import (
     PackedSupportCalculator,
     ints_to_rows,
     max_popcount,
+    max_support_product,
+    or_rows,
     rows_to_ints,
 )
 from ..errors import CutError
@@ -72,10 +75,13 @@ class CutEnumerator:
         Safety valve on the per-node merge product.
 
     Supports are composed on packed uint64 bitmask rows
-    (:class:`~repro.bitdeps.packed.PackedSupportCalculator`): one DEP
-    transfer per candidate instead of one per output bit. The stored
-    ``Cut.masks`` are the same Python-int masks
-    :class:`~repro.bitdeps.SupportCalculator` computes from scratch.
+    (:class:`~repro.bitdeps.packed.PackedSupportCalculator`). A merge
+    transfers each (slot, choice) once on its own and K-filters every
+    combination in one batched popcount
+    (:func:`~repro.bitdeps.packed.max_support_product`); only feasible
+    combinations become cuts. The stored ``Cut.masks`` are the same
+    Python-int masks :class:`~repro.bitdeps.SupportCalculator` computes
+    from scratch.
     """
 
     def __init__(self, graph: CDFG, k: int, max_cuts: int = 12,
@@ -91,6 +97,7 @@ class CutEnumerator:
         self._trivial: dict[int, Cut] = {}
         self._merged: dict[int, list[Cut]] = {}
         self._unit: dict[int, Cut | None] = {}
+        self._slots: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------------
     def run(self) -> dict[int, CutSet]:
@@ -117,6 +124,7 @@ class CutEnumerator:
                     if succ not in queued:
                         worklist.append(succ)
                         queued.add(succ)
+        self.stats.cuts_kept = sum(len(v) for v in self._merged.values())
 
         result: dict[int, CutSet] = {}
         for nid in graph.node_ids:
@@ -174,7 +182,7 @@ class CutEnumerator:
         # constant operands have no slot entry and are absorbed for free.
         pairs = set()
         slot_rows: dict[int, object] = {}
-        for slot in word_dep_sources(graph, node):
+        for slot in self._dep_slots(nid):
             op = node.operands[slot]
             if graph.node(op.source).kind is OpKind.CONST:
                 continue
@@ -187,6 +195,14 @@ class CutEnumerator:
         object.__setattr__(cut, "_rows", rows)
         object.__setattr__(cut, "_max_support", max_popcount(rows))
         return cut
+
+    def _dep_slots(self, nid: int) -> list[int]:
+        """``word_dep_sources`` of a node, computed once per enumeration."""
+        slots = self._slots.get(nid)
+        if slots is None:
+            slots = word_dep_sources(self.graph, self.graph.node(nid))
+            self._slots[nid] = slots
+        return slots
 
     def _cut_rows(self, cut: Cut):
         """Packed rows of a cut's masks, cached on the cut instance."""
@@ -216,9 +232,8 @@ class CutEnumerator:
         # choice is (slot, cut, edge_distance): the distance matters when the
         # operand enters as a boundary value (registered vs combinational),
         # and only distance-0 operands may be absorbed (DESIGN.md note 5).
-        slots = word_dep_sources(graph, node)
         choice_lists: list[list[tuple[int, Cut, int]]] = []
-        for slot in slots:
+        for slot in self._dep_slots(nid):
             op = node.operands[slot]
             src_node = graph.node(op.source)
             if src_node.kind is OpKind.CONST:
@@ -241,21 +256,34 @@ class CutEnumerator:
             choice_lists = [lst[: max(2, self.max_candidates // 1000)]
                             for lst in choice_lists]
 
+        # Every DEP transfer ORs one independent term per operand slot, so
+        # a combination's rows are the OR of its choices' single-slot
+        # transfers: transfer each choice once, take every combination's
+        # support in one batched popcount, and build only the K-feasible
+        # ones, in itertools.product order. An over-K combination never
+        # entered ``seen``, so skipping it first keeps the same cuts.
+        pcalc = self._pcalc
+        terms = [[pcalc.transfer(node, {slot: pcalc.leaf_rows(cut.root, dist)
+                                        if cut.is_trivial
+                                        else self._cut_rows(cut)})
+                  for slot, cut, dist in choices]
+                 for choices in choice_lists]
+        supports = max_support_product(terms)
+        self.stats.candidates_generated += len(supports)
+
         seen: dict[tuple, Cut] = {c.entries: c for c in self._merged[nid]}
         new_cuts: list[Cut] = list(self._merged[nid])
-        pcalc = self._pcalc
-        for combo in itertools.product(*choice_lists):
-            self.stats.candidates_generated += 1
+        shape = [len(choices) for choices in choice_lists]
+        for flat in np.flatnonzero(supports <= self.k).tolist():
+            picks = np.unravel_index(flat, shape)
+            combo = [choices[i] for choices, i in zip(choice_lists, picks)]
             pairs: set[tuple[int, int]] = set()
-            slot_rows: dict[int, object] = {}
             interior: set[int] = set()
-            for slot, cut, edge_dist in combo:
+            for _, cut, edge_dist in combo:
                 if cut.is_trivial:
                     pairs.add((cut.root, edge_dist))
-                    slot_rows[slot] = pcalc.leaf_rows(cut.root, edge_dist)
                 else:
                     pairs.update(cut.entries)
-                    slot_rows[slot] = self._cut_rows(cut)
                     interior.add(cut.root)
                     interior.update(cut.interior)
             entries = tuple(sorted(pairs))
@@ -267,15 +295,13 @@ class CutEnumerator:
             # appears in both interior and boundary, keeping its co-timing
             # obligation. Subtracting the boundary here once created covers
             # whose recomputed logic could be scheduled before its inputs.
-            rows = pcalc.transfer(node, slot_rows)
-            support = max_popcount(rows)
-            if support > self.k:
-                continue
+            rows = or_rows([slot[i] for slot, i in zip(terms, picks)],
+                           node.width, pcalc.words)
             candidate = Cut(nid, boundary, tuple(rows_to_ints(rows)),
                             kind="merged", interior=frozenset(interior),
                             entries=entries)
             object.__setattr__(candidate, "_rows", rows)
-            object.__setattr__(candidate, "_max_support", support)
+            object.__setattr__(candidate, "_max_support", int(supports[flat]))
             seen[entries] = candidate
             new_cuts.append(candidate)
 
@@ -283,7 +309,6 @@ class CutEnumerator:
         if {c.entries for c in new_cuts} != {c.entries for c in self._merged[nid]}:
             self._merged[nid] = new_cuts
             changed = True
-        self.stats.cuts_kept = sum(len(v) for v in self._merged.values())
         return changed
 
     def _prune(self, cuts: list[Cut]) -> list[Cut]:

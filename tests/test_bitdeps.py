@@ -1,5 +1,9 @@
 """Unit + property tests for bit-level dependence tracking (Sec. 3.1)."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +14,13 @@ from repro.bitdeps import (
     popcount,
     word_dep_sources,
 )
-from repro.bitdeps.packed import ints_to_rows, max_popcount, rows_to_ints
+from repro.bitdeps.packed import (
+    Rows,
+    ints_to_rows,
+    max_popcount,
+    or_rows,
+    rows_to_ints,
+)
 from repro.designs.synthetic import random_dfg
 from repro.errors import CutError
 from repro.ir import DFGBuilder, OpKind
@@ -258,13 +268,8 @@ def assert_packed_matches_reference(graph, target, boundary):
     assert packed_cone(graph, target, boundary) == want
 
 
-class TestPackedTransfer:
-    """The packed DEP transfer against the big-int reference, per op class.
-
-    Each sweep builds a one-op cone per width and compares the transfer
-    over the operands' leaf rows with a from-scratch
-    ``SupportCalculator.supports`` of the same cone.
-    """
+class OpClassSweeps:
+    """One-op cones per op class and width, each handed to ``_check``."""
 
     WIDTHS = (1, 2, 3, 4, 7)
 
@@ -274,8 +279,7 @@ class TestPackedTransfer:
             value, boundary = make(b, width)
             b.output(value, "o")
             graph = b.build()
-            assert_packed_matches_reference(graph, value.nid,
-                                            [v.nid for v in boundary])
+            self._check(graph, value.nid, [v.nid for v in boundary])
 
     @staticmethod
     def _two_input(b, op):
@@ -376,6 +380,18 @@ class TestPackedTransfer:
             return a ^ b.const(1), [a]
         self._sweep(make)
 
+
+class TestPackedTransfer(OpClassSweeps):
+    """The packed DEP transfer against the big-int reference, per op class.
+
+    Each sweep builds a one-op cone per width and compares the transfer
+    over the operands' leaf rows with a from-scratch
+    ``SupportCalculator.supports`` of the same cone.
+    """
+
+    def _check(self, graph, target, boundary):
+        assert_packed_matches_reference(graph, target, boundary)
+
     def test_deep_cone(self):
         b = DFGBuilder("t", width=4)
         a, c, d = b.input("a"), b.input("c"), b.input("d")
@@ -402,3 +418,50 @@ class TestPackedTransfer:
         rows = ints_to_rows(masks, words=4)
         assert rows_to_ints(rows) == masks
         assert max_popcount(rows) == max(popcount(m) for m in masks)
+
+
+def random_rows(rng, n, words):
+    """``n`` random rows whose set bits lie in a random word range."""
+    lo = rng.randrange(words)
+    hi = rng.randrange(lo, words + 1)
+    mat = np.zeros((n, words), dtype=np.uint64)
+    for i in range(n):
+        for w in range(lo, hi):
+            mat[i, w] = rng.getrandbits(64) & rng.getrandbits(64)
+    return Rows(mat, lo, hi)
+
+
+class TestTransferSeparability(OpClassSweeps):
+    """Every op class's transfer ORs one independent term per operand slot.
+
+    The cut enumerator's batched K-filter relies on this: the transfer of
+    any set of slots must equal ``or_rows`` of the single-slot transfers,
+    active word range ``[lo, hi)`` included. The slot rows are random and
+    sit in different word ranges of a four-word space, so the range rule
+    is exercised too.
+    """
+
+    WORDS = 4
+
+    def _check(self, graph, target, boundary):
+        node = graph.node(target)
+        calc = PackedSupportCalculator(graph)
+        if node.is_blackbox:
+            with pytest.raises(CutError):
+                calc.transfer(node, {})
+            return
+        calc.words = self.WORDS
+        rng = random.Random(node.width)
+        slot_rows = {
+            slot: random_rows(rng, graph.node(op.source).width, self.WORDS)
+            for slot, op in enumerate(node.operands)
+            if graph.node(op.source).kind is not OpKind.CONST
+        }
+        for n in range(len(slot_rows) + 1):
+            for slots in itertools.combinations(sorted(slot_rows), n):
+                whole = calc.transfer(node, {s: slot_rows[s] for s in slots})
+                union = or_rows(
+                    [calc.transfer(node, {s: slot_rows[s]}) for s in slots],
+                    node.width, self.WORDS)
+                assert (union.lo, union.hi) == (whole.lo, whole.hi)
+                assert np.array_equal(union.mat, whole.mat)

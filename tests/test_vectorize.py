@@ -1,20 +1,29 @@
-"""Packed cut enumeration vs a big-int reference kernel.
+"""Batched packed cut enumeration vs the per-combination big-int reference.
 
-The cut enumerator composes supports on packed uint64 bitmask rows
-(:class:`~repro.bitdeps.packed.PackedSupportCalculator`). The scalar
-kernel it replaced -- one Python-int mask per output bit, composed by
-walking DEP bit by bit -- lives on here as the oracle: the enumerator is
-run once as shipped and once with the packed kernel swapped for the
-scalar one, and the two runs must agree exactly on every cut.
+The cut enumerator transfers each merge choice once on packed uint64 rows
+and K-filters every combination in one batched popcount
+(:func:`~repro.bitdeps.packed.max_support_product`). The loop it replaced
+-- one full DEP transfer and one popcount per combination -- lives on here
+as :class:`ReferenceEnumerator`, over the scalar kernel that composed
+supports as Python-int masks walked bit by bit. Both must agree exactly
+on every cut, in order, and on the enumeration counters.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 
+import repro.bitdeps.packed as packed
 import repro.cuts.enumerate as cut_enum
 from repro.bitdeps import SupportCalculator, dep_bits, popcount
+from repro.bitdeps.dep import word_dep_sources
+from repro.cuts.cut import Cut
 from repro.cuts.enumerate import CutEnumerator
 from repro.designs import BENCHMARKS
+from repro.designs.synthetic import random_dfg
 from repro.ir.transforms import narrow_graph
+from repro.ir.types import OpKind
 
 
 class BigIntKernel(SupportCalculator):
@@ -40,38 +49,225 @@ class BigIntKernel(SupportCalculator):
         return masks
 
 
-def use_big_int_kernel(monkeypatch):
-    monkeypatch.setattr(cut_enum, "PackedSupportCalculator", BigIntKernel)
+def max_popcount(masks):
+    return max(map(popcount, masks), default=0)
+
+
+class ReferenceEnumerator(CutEnumerator):
+    """The enumerator with the per-combination merge loop over big ints."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pcalc = BigIntKernel(self.graph)
+
+    def _update_node(self, nid):
+        graph = self.graph
+        node = graph.node(nid)
+
+        if self._unit[nid] is None:
+            self._unit[nid] = self._make_unit(nid)
+            changed = True
+        else:
+            changed = False
+
+        if not node.is_mappable or node.kind is OpKind.OUTPUT:
+            return changed
+        if self.max_cuts == 0:
+            return changed
+
+        slots = word_dep_sources(graph, node)
+        choice_lists = []
+        for slot in slots:
+            op = node.operands[slot]
+            src_node = graph.node(op.source)
+            if src_node.kind is OpKind.CONST:
+                continue
+            choices = [(slot, self._trivial[op.source], op.distance)]
+            if op.distance == 0 and src_node.is_mappable \
+                    and src_node.kind is not OpKind.OUTPUT:
+                unit = self._unit[op.source]
+                if unit is not None and unit.feasible(self.k):
+                    choices.append((slot, unit, 0))
+                choices.extend((slot, c, 0) for c in self._merged[op.source]
+                               if c.feasible(self.k))
+            choice_lists.append(choices)
+
+        total = 1
+        for lst in choice_lists:
+            total *= len(lst)
+        if total > self.max_candidates:
+            self.stats.capped_nodes += 1
+            choice_lists = [lst[: max(2, self.max_candidates // 1000)]
+                            for lst in choice_lists]
+
+        seen = {c.entries: c for c in self._merged[nid]}
+        new_cuts = list(self._merged[nid])
+        pcalc = self._pcalc
+        for combo in itertools.product(*choice_lists):
+            self.stats.candidates_generated += 1
+            pairs = set()
+            slot_rows = {}
+            interior = set()
+            for slot, cut, edge_dist in combo:
+                if cut.is_trivial:
+                    pairs.add((cut.root, edge_dist))
+                    slot_rows[slot] = pcalc.leaf_rows(cut.root, edge_dist)
+                else:
+                    pairs.update(cut.entries)
+                    slot_rows[slot] = self._cut_rows(cut)
+                    interior.add(cut.root)
+                    interior.update(cut.interior)
+            entries = tuple(sorted(pairs))
+            if entries in seen:
+                continue
+            boundary = frozenset(p[0] for p in pairs)
+            rows = pcalc.transfer(node, slot_rows)
+            support = max_popcount(rows)
+            if support > self.k:
+                continue
+            candidate = Cut(nid, boundary, tuple(rows), kind="merged",
+                            interior=frozenset(interior), entries=entries)
+            object.__setattr__(candidate, "_rows", rows)
+            object.__setattr__(candidate, "_max_support", support)
+            seen[entries] = candidate
+            new_cuts.append(candidate)
+
+        new_cuts = self._prune(new_cuts)
+        if {c.entries for c in new_cuts} != {c.entries for c in self._merged[nid]}:
+            self._merged[nid] = new_cuts
+            changed = True
+        return changed
+
+
+def use_big_int_masks(monkeypatch):
+    """Point the unit-cut and cut-row helpers the reference inherits at
+    big-int masks."""
     monkeypatch.setattr(cut_enum, "rows_to_ints", list)
     monkeypatch.setattr(cut_enum, "ints_to_rows",
                         lambda masks, words: list(masks))
-    monkeypatch.setattr(cut_enum, "max_popcount",
-                        lambda masks: max(map(popcount, masks), default=0))
+    monkeypatch.setattr(cut_enum, "max_popcount", max_popcount)
 
 
 def canon_cuts(cut_sets):
     """Cut sets as a comparable structure (selection order preserved)."""
     return {
         root: [(c.kind, tuple(sorted(c.boundary)), c.masks,
-                tuple(sorted(c.interior)), c.entries)
+                tuple(sorted(c.interior)), c.entries, c.max_support)
                for c in cs.selectable]
         for root, cs in cut_sets.items()
     }
 
 
+def enumeration(enumerator):
+    cuts = enumerator.run()
+    stats = enumerator.stats
+    return (canon_cuts(cuts), stats.candidates_generated, stats.cuts_kept,
+            stats.capped_nodes)
+
+
+def assert_matches_reference(graph, monkeypatch, k=6, max_cuts=12,
+                             max_candidates=20000):
+    batched = enumeration(CutEnumerator(graph, k, max_cuts, max_candidates))
+    with monkeypatch.context() as m:
+        use_big_int_masks(m)
+        reference = enumeration(
+            ReferenceEnumerator(graph, k, max_cuts, max_candidates))
+    assert batched == reference
+    return batched
+
+
+def narrowed(name):
+    return narrow_graph(BENCHMARKS[name].build())[0]
+
+
+DESIGNS = ["GSM", "DR", "CLZ", "GFMUL", "MT"]
+
+
 class TestCutEnumerationParity:
-    @pytest.mark.parametrize("name", ["GSM", "DR", "CLZ", "GFMUL", "MT"])
+    @pytest.mark.parametrize("name", DESIGNS)
     def test_cut_sets_identical(self, name, monkeypatch):
-        graph, _ = narrow_graph(BENCHMARKS[name].build())
-        runs = []
-        for big_int in (False, True):
-            with monkeypatch.context() as m:
-                if big_int:
-                    use_big_int_kernel(m)
-                enumerator = CutEnumerator(graph, 6, max_cuts=12)
-                cuts = enumerator.run()
-            assert isinstance(enumerator._pcalc, BigIntKernel) == big_int
-            runs.append((canon_cuts(cuts),
-                         enumerator.stats.candidates_generated,
-                         enumerator.stats.total_selectable))
-        assert runs[0] == runs[1]
+        assert_matches_reference(narrowed(name), monkeypatch)
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_cut_sets_identical_k4(self, name, monkeypatch):
+        assert_matches_reference(narrowed(name), monkeypatch, k=4,
+                                 max_cuts=4)
+
+    def test_capped_products_identical(self, monkeypatch):
+        _, _, _, capped = assert_matches_reference(
+            narrowed("GFMUL"), monkeypatch, max_candidates=30)
+        assert capped > 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_graphs_with_recurrences(self, seed, monkeypatch):
+        graph = random_dfg(seed, ops=14, width=6, inputs=3, recurrences=2)
+        assert_matches_reference(graph, monkeypatch, k=4, max_cuts=6)
+
+
+def test_cuts_kept_counts_the_final_merged_cuts():
+    enumerator = CutEnumerator(narrowed("DR"), 6, max_cuts=12)
+    enumerator.run()
+    assert enumerator.stats.cuts_kept == sum(
+        len(cuts) for cuts in enumerator._merged.values())
+    assert enumerator.stats.cuts_kept > 0
+
+
+def kernel_calls(graph, monkeypatch):
+    """Every ``max_support_product`` call of one enumeration, with its
+    inputs and output."""
+    calls = []
+    real = cut_enum.max_support_product
+
+    def record(terms):
+        supports = real(terms)
+        calls.append((terms, supports.copy()))
+        return supports
+
+    with monkeypatch.context() as m:
+        m.setattr(cut_enum, "max_support_product", record)
+        CutEnumerator(graph, 6, max_cuts=12).run()
+    assert calls
+    return calls
+
+
+@pytest.mark.parametrize("name", ["GSM", "CLZ"])
+def test_lookup_table_popcount_matches_bitwise_count(name, monkeypatch):
+    """numpy < 2 has no ``bitwise_count``; the uint8 table must agree."""
+    graph = narrowed(name)
+    calls = kernel_calls(graph, monkeypatch)
+    counts = [[packed.popcount_rows(r) for t in terms for r in t]
+              for terms, _ in calls]
+    shipped = enumeration(CutEnumerator(graph, 6, max_cuts=12))
+    monkeypatch.setattr(packed, "_BITWISE_COUNT", None)
+    for (terms, supports), want in zip(calls, counts):
+        assert np.array_equal(packed.max_support_product(terms), supports)
+        got = [packed.popcount_rows(r) for t in terms for r in t]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert enumeration(CutEnumerator(graph, 6, max_cuts=12)) == shipped
+
+
+@pytest.mark.parametrize("name", ["GSM", "CLZ", "GFMUL"])
+def test_small_block_budgets_keep_supports(name, monkeypatch):
+    """Budgets of a few words split each product into many blocks, by
+    output bit, by combination and by slot prefix (GFMUL has three-slot
+    merges); the supports stay the same and no block is larger than the
+    budget, or than one output bit of one combination when that alone is
+    larger."""
+    calls = kernel_calls(narrowed(name), monkeypatch)
+    real_counts = packed._row_counts
+    for budget in (5, 96):
+        blocks = []
+
+        def count_block(block):
+            blocks.append(block.shape)
+            return real_counts(block)
+
+        with monkeypatch.context() as m:
+            m.setattr(packed, "_BLOCK_WORDS", budget)
+            m.setattr(packed, "_row_counts", count_block)
+            for terms, supports in calls:
+                assert np.array_equal(packed.max_support_product(terms),
+                                      supports)
+        assert len(blocks) > len(calls)
+        assert all(np.prod(shape) <= max(budget, shape[-1])
+                   for shape in blocks)
