@@ -1,10 +1,12 @@
 """DEP-soundness spot checks (code ``DEP001``).
 
-The word-level ``DEP`` function (:func:`repro.bitdeps.dep.dep_bits`) must
+The word-level ``DEP`` kernel that sizes cuts
+(:meth:`repro.bitdeps.packed.PackedSupportCalculator.term`) must
 *over-approximate* the true bit-level dependences: every operand bit that can
-actually influence an output bit must be listed, or cut enumeration will
-build cones whose LUTs miss inputs. This rule samples nodes and output bits
-and compares ``DEP`` against a bit-blasted ground truth
+actually influence an output bit must be in its support, or cut enumeration
+will build cones whose LUTs miss inputs. This rule samples nodes and output
+bits and compares each non-constant slot's term over the slot's own leaf
+bits, decoded to ``(slot, bit)`` pairs, against a bit-blasted ground truth
 (:func:`repro.bitdeps.bitblast.bit_blast`).
 
 Each sampled node is rebuilt in an *isolated probe graph* — fresh primary
@@ -50,7 +52,7 @@ from ..errors import CutError, IRError
 from ..ir.builder import DFGBuilder
 from ..ir.semantics import eval_node
 from ..ir.types import OpKind
-from ..bitdeps.dep import dep_bits
+from ..bitdeps.packed import PackedSupportCalculator, rows_to_ints
 from .diagnostic import Diagnostic, Severity
 from .registry import GATE_ACYCLIC, AnalysisContext, finding, register
 
@@ -81,6 +83,25 @@ def _probe(graph, node):
     probe = b.op(node.kind, *vals, width=node.width, **attrs)
     b.output(probe, "out")
     return b.graph, probe.nid, slot_inputs
+
+
+def _dep_pairs(pcalc: PackedSupportCalculator,
+               node) -> list[set[tuple[int, int]]]:
+    """Per output bit of ``node``, the ``(slot, bit)`` operand bits in its
+    DEP: each non-constant slot's term over the slot's own leaf rows,
+    decoded relative to the slot's source bits."""
+    graph = pcalc.graph
+    pairs: list[set[tuple[int, int]]] = [set() for _ in range(node.width)]
+    for slot, op in enumerate(node.operands):
+        if graph.node(op.source).kind is OpKind.CONST:
+            continue
+        base = pcalc.global_index(op.source, 0, op.distance)
+        leaf = pcalc.leaf_rows(op.source, op.distance)
+        for j, mask in enumerate(rows_to_ints(pcalc.term(node, slot, leaf))):
+            mask >>= base
+            pairs[j].update((slot, bit) for bit in range(mask.bit_length())
+                            if mask >> bit & 1)
+    return pairs
 
 
 def _cone(graph, out_id: int, leaves: set[int]) -> tuple[list[int], set[int], bool]:
@@ -206,14 +227,16 @@ def dep_soundness(ctx: AnalysisContext) -> Iterator[Diagnostic]:
         candidates = rng.sample(candidates, max_nodes)
         candidates.sort(key=lambda n: n.nid)
 
+    pcalc = PackedSupportCalculator(graph)
     for node in candidates:
         try:
             from ..bitdeps.bitblast import bit_blast
 
             probe_graph, probe_nid, slot_inputs = _probe(graph, node)
             blast = bit_blast(probe_graph)
+            dep = _dep_pairs(pcalc, node)
         except (IRError, CutError):
-            continue  # kind the blaster does not model; nothing to check
+            continue  # kind the blaster or DEP does not model
 
         # Probe input bit id -> the unique (operand slot, bit index) it
         # stands for. Fresh inputs per slot guarantee uniqueness.
@@ -234,16 +257,12 @@ def dep_soundness(ctx: AnalysisContext) -> Iterator[Diagnostic]:
             out_id = blast.bit_ids[probe_nid][j]
             if out_id is None:
                 continue
-            try:
-                allowed = {(e.slot, e.bit) for e in dep_bits(graph, node, j)}
-            except CutError:
-                break
             order, reached, ok = _cone(bg, out_id, leaves)
             if not ok:
                 continue
             suspects = [
                 fid for fid in sorted(reached)
-                if leaf_pair[fid] not in allowed
+                if leaf_pair[fid] not in dep[j]
             ]
             for fid in suspects:
                 witness = None
@@ -278,6 +297,7 @@ def dep_soundness(ctx: AnalysisContext) -> Iterator[Diagnostic]:
                     f"({how})",
                     node=node.nid,
                     edge=(src, node.nid),
-                    hint="fix dep_bits for this kind: an under-approximate "
-                         "DEP silently mis-sizes every cut through it",
+                    hint="fix PackedSupportCalculator.term for this kind: "
+                         "an under-approximate DEP silently mis-sizes every "
+                         "cut through it",
                 )

@@ -26,7 +26,7 @@ from ..ir.graph import CDFG
 from ..ir.node import Node
 from ..ir.types import OpClass, OpKind
 
-__all__ = ["DepEntry", "dep_bits", "word_dep_sources"]
+__all__ = ["DepEntry", "dep_bits"]
 
 
 @dataclass(frozen=True)
@@ -127,17 +127,3 @@ def dep_bits(graph: CDFG, node: Node, j: int) -> list[DepEntry]:
         return data + _all_bits(1, widths[1])
 
     raise CutError(f"DEP not defined for {kind.value}")  # pragma: no cover
-
-
-def word_dep_sources(graph: CDFG, node: Node) -> list[int]:
-    """Word-level ``DEP(v)``: unique operand slots that any output bit reads.
-
-    Returns operand *slot* indices (not node ids) in ascending order, so the
-    caller can honor per-edge distances. A slot appears if at least one
-    output bit depends on at least one of its bits.
-    """
-    live_slots: set[int] = set()
-    for j in range(node.width):
-        for entry in dep_bits(graph, node, j):
-            live_slots.add(entry.slot)
-    return sorted(live_slots)

@@ -4,11 +4,13 @@ The reference :class:`~repro.bitdeps.support.SupportCalculator` represents a
 per-bit support set as a Python big int and applies DEP one output bit at a
 time. This module keeps the exact same global bit numbering but packs every
 mask into a row of ``uint64`` words, so the supports of all output bits of a
-node form a ``(width, words)`` ndarray and one DEP *transfer* per node
-replaces ``width`` calls into :func:`~repro.bitdeps.dep.dep_bits`:
+node form one ``(width, words)`` ndarray (:class:`Rows`).
 
-* bitwise class — row-wise OR of the operand matrices, truncated to widths;
-* shifts / SLICE / CONCAT — row re-indexing (pure slicing, no bit math);
+The one DEP kernel is :meth:`PackedSupportCalculator.term`: what one
+operand slot adds to the support of every output bit of a node, as a
+handful of whole-matrix ufunc calls per op class:
+
+* bitwise class, shifts, SLICE, CONCAT — row re-indexing (pure slicing);
 * ADD/SUB/NEG — a prefix-OR (``np.bitwise_or.accumulate``) indexed by
   ``min(j, w-1)``, the carry-chain ranges of Sec. 3.1 in one shot;
 * comparisons — an OR-reduction broadcast to every output bit, with the
@@ -16,30 +18,31 @@ replaces ``width`` calls into :func:`~repro.bitdeps.dep.dep_bits`:
 * VSHL/VSHR — prefix/suffix OR of the data operand plus the reduced amount
   operand.
 
-Each matrix carries its **active word range** ``[lo, hi)`` (:class:`Rows`)
-and every kernel touches only that slice. This matches the cost model of the
-reference big ints — a Python int only pays for words up to its top set bit
-— so designs with a huge global bit space but narrow cones (e.g. XORR512's
-16k-bit space) stay fast instead of paying the full row width per OR.
+Sec. 3.1's DEP reads each operand slot independently and Algorithm 1
+composes supports by OR, so a node's support given rows for several
+slots is :func:`or_rows` of their terms (:meth:`transfer`), and
+:func:`max_support_product` K-filters every merge combination of a node
+in one batched popcount.
 
-Word order is little-endian, so ``int.from_bytes(row.tobytes(), "little")``
-reproduces the reference Python-int mask exactly; tests/test_bitdeps.py
-pins this for every op class against ``SupportCalculator.supports``.
-Popcounts use ``np.bitwise_count`` when the installed numpy has it
-(>= 2.0) and a uint8 lookup table otherwise.
+A :class:`Rows` stores only its **word window**: ``mat[:, i]`` is global
+word ``lo + i``, and every word outside the window is zero. A term lives
+on its operand's window, so cost tracks the span of the set bits (like
+the reference big ints, which only pay for words up to their top set
+bit) rather than the global bit space (626 words on XORR1251, where a
+term's window averages 92). :func:`or_rows` and
+:func:`max_support_product` are the only places windows are aligned.
 
-Cones are never re-walked from scratch: the cut enumerator composes
-:meth:`PackedSupportCalculator.transfer` over the packed rows of the cuts
-it merges. Every transfer ORs one independent term per operand slot into
-its output, so the transfer of a set of slots is :func:`or_rows` of the
-single-slot transfers; :func:`max_support_product` uses that identity to
-K-filter every merge combination of a node in one batched popcount.
+Word order is little-endian, so ``int.from_bytes(row.tobytes(), "little")
+<< 64 * lo`` reproduces the reference Python-int mask exactly;
+tests/test_bitdeps.py pins this for every op class against
+``SupportCalculator.supports``. Popcounts use ``np.bitwise_count`` when
+the installed numpy has it (>= 2.0) and a uint8 lookup table otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -57,7 +60,6 @@ __all__ = [
     "max_support_product",
     "or_rows",
     "rows_to_ints",
-    "ints_to_rows",
 ]
 
 _U64 = np.dtype("<u8")
@@ -72,26 +74,36 @@ _BITWISE_COUNT = getattr(np, "bitwise_count", None)
 # matrix over a wide cone) never materializes at once.
 _BLOCK_WORDS = 1 << 18
 
+# Same-indexed operations: output bit j reads bit j of every operand slot
+# (MUX only through its data slots 1 and 2).
+_SAME_INDEX = frozenset({OpKind.OUTPUT, OpKind.NOT, OpKind.TRUNC,
+                         OpKind.ZEXT, OpKind.AND, OpKind.OR, OpKind.XOR})
+
 
 class Rows:
-    """A packed ``(n, words)`` uint64 matrix with its active word range.
+    """A packed ``(n, words)`` uint64 matrix over one word window.
 
-    Words outside ``[lo, hi)`` are guaranteed zero; kernels only read and
-    write the active slice, so per-operation cost tracks the *span* of the
-    set bits (like the reference Python big ints) rather than the full
-    global bit space.
+    ``mat[:, i]`` is global word ``lo + i``; every word outside the window
+    ``[lo, hi)`` is zero. An empty window (no words) means no support.
     """
 
-    __slots__ = ("mat", "lo", "hi")
+    __slots__ = ("mat", "lo")
 
-    def __init__(self, mat: np.ndarray, lo: int, hi: int) -> None:
+    def __init__(self, mat: np.ndarray, lo: int) -> None:
         self.mat = mat
         self.lo = lo
-        self.hi = max(hi, lo)
+
+    @property
+    def hi(self) -> int:
+        return self.lo + self.mat.shape[1]
 
     @property
     def empty(self) -> bool:
-        return self.hi <= self.lo
+        return self.mat.shape[1] == 0
+
+
+def _no_support(width: int) -> Rows:
+    return Rows(np.zeros((width, 0), dtype=_U64), 0)
 
 
 def _row_counts(mat: np.ndarray) -> np.ndarray:
@@ -102,53 +114,53 @@ def _row_counts(mat: np.ndarray) -> np.ndarray:
     return _POP8[as_bytes].sum(axis=-1, dtype=np.int64)
 
 
-def popcount_rows(rows: Rows | np.ndarray) -> np.ndarray:
+def popcount_rows(rows: Rows) -> np.ndarray:
     """Per-row set-bit counts of a packed matrix."""
-    if isinstance(rows, Rows):
-        mat = rows.mat[:, rows.lo:rows.hi]
-    else:
-        mat = rows
-    if mat.shape[1] == 0:
-        return np.zeros(mat.shape[0], dtype=np.int64)
-    return _row_counts(mat)
+    return _row_counts(rows.mat)
 
 
-def max_popcount(rows: Rows | np.ndarray) -> int:
+def max_popcount(rows: Rows) -> int:
     """Largest per-row popcount (0 for an empty matrix)."""
-    mat = rows.mat if isinstance(rows, Rows) else rows
-    if mat.shape[0] == 0:
-        return 0
-    return int(popcount_rows(rows).max())
+    return int(popcount_rows(rows).max(initial=0))
 
 
-def or_rows(terms: Sequence[Rows], width: int, words: int) -> Rows:
-    """OR of ``(width, words)`` matrices under ``transfer``'s range rule.
+def _aligned(rows: Sequence[Rows], lo: int, hi: int,
+             bits: slice = slice(None)) -> np.ndarray:
+    """The ``bits`` rows of each of ``rows`` on the common window
+    ``[lo, hi)``, stacked into one ``(len(rows), bits, hi - lo)`` array."""
+    n = rows[0].mat[bits].shape[0]
+    out = np.zeros((len(rows), n, hi - lo), dtype=_U64)
+    for i, r in enumerate(rows):
+        if not r.empty:
+            out[i, :, r.lo - lo:r.hi - lo] = r.mat[bits]
+    return out
 
-    The active range is the hull of the non-empty terms' ranges, and
-    ``[0, 0)`` when there are none, so ``or_rows`` of the single-slot
-    transfers of a node equals the node's transfer of all those slots,
-    ``lo`` and ``hi`` included. A lone non-empty term is returned as is.
+
+def or_rows(terms: Sequence[Rows], width: int) -> Rows:
+    """OR of ``width``-row matrices on the hull of their windows.
+
+    Empty terms add nothing; a lone non-empty term is returned as is, and
+    none at all gives an empty window.
     """
     live = [t for t in terms if not t.empty]
+    if not live:
+        return _no_support(width)
     if len(live) == 1:
         return live[0]
-    out = np.zeros((width, words), dtype=_U64)
-    if not live:
-        return Rows(out, 0, 0)
-    for t in live:
-        out[:, t.lo:t.hi] |= t.mat[:, t.lo:t.hi]
-    return Rows(out, min(t.lo for t in live), max(t.hi for t in live))
+    lo = min(t.lo for t in live)
+    hi = max(t.hi for t in live)
+    return Rows(np.bitwise_or.reduce(_aligned(live, lo, hi), axis=0), lo)
 
 
 def max_support_product(terms: Sequence[Sequence[Rows]]) -> np.ndarray:
     """``max_popcount`` of the OR of every pick of one term per slot.
 
-    ``terms[i]`` holds the single-slot transfers of slot ``i``'s choices,
-    all ``(width, words)`` matrices of one node. Returns one int64 per
-    combination, flat in ``itertools.product`` order; with no slots the
-    product is the one empty combination, whose support is 0. The OR is
-    broadcast across slots in blocks of at most ``_BLOCK_WORDS`` words, or
-    of one output bit of one combination when that alone is larger.
+    ``terms[i]`` holds the terms of slot ``i``'s choices, all matrices
+    with the node's width. Returns one int64 per combination, flat in
+    ``itertools.product`` order; with no slots the product is the one
+    empty combination, whose support is 0. The OR is broadcast across
+    slots in blocks of at most ``_BLOCK_WORDS`` words, or of one output
+    bit of one combination when that alone is larger.
     """
     best = np.zeros(math.prod(len(t) for t in terms), dtype=np.int64)
     live = [r for t in terms for r in t if not r.empty]
@@ -159,9 +171,9 @@ def max_support_product(terms: Sequence[Sequence[Rows]]) -> np.ndarray:
     width = live[0].mat.shape[0]
     step = min(width, max(1, _BLOCK_WORDS // (hi - lo)))
     for r0 in range(0, width, step):
-        stacks = [np.stack([r.mat[r0:r0 + step, lo:hi] for r in t])
-                  for t in terms]
-        _fold_max_support(best, None, stacks)
+        bits = slice(r0, r0 + step)
+        _fold_max_support(best, None, [_aligned(t, lo, hi, bits)
+                                       for t in terms])
     return best
 
 
@@ -189,42 +201,20 @@ def _fold_max_support(best: np.ndarray, prefix: np.ndarray | None,
         np.maximum(view, counts, out=view)
 
 
-def rows_to_ints(rows: Rows | np.ndarray) -> list[int]:
+def rows_to_ints(rows: Rows) -> list[int]:
     """Convert packed rows back to the reference Python-int masks."""
-    if isinstance(rows, Rows):
-        mat, lo, hi = rows.mat, rows.lo, rows.hi
-        if hi <= lo:
-            return [0] * mat.shape[0]
-        data = np.ascontiguousarray(mat[:, lo:hi], dtype=_U64)
-        shift = lo * 64
-    else:
-        data = np.ascontiguousarray(rows, dtype=_U64)
-        shift = 0
-        if data.shape[1] == 0:
-            return [0] * data.shape[0]
-    stride = data.shape[1] * 8
-    raw = data.tobytes()
-    return [
-        int.from_bytes(raw[i * stride:(i + 1) * stride], "little") << shift
-        for i in range(data.shape[0])
-    ]
-
-
-def ints_to_rows(masks: Iterable[int], words: int) -> Rows:
-    """Pack reference Python-int masks into a :class:`Rows` matrix."""
-    masks = list(masks)
-    mat = np.zeros((len(masks), words), dtype=_U64)
-    nbytes = words * 8
-    hi = 0
-    for i, mask in enumerate(masks):
-        if mask:
-            mat[i] = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=_U64)
-            hi = max(hi, (mask.bit_length() + 63) >> 6)
-    return Rows(mat, 0, hi)
+    n, words = rows.mat.shape
+    if words == 0:
+        return [0] * n
+    raw = np.ascontiguousarray(rows.mat, dtype=_U64).tobytes()
+    stride = words * 8
+    shift = rows.lo * 64
+    return [int.from_bytes(raw[i * stride:(i + 1) * stride], "little") << shift
+            for i in range(n)]
 
 
 class PackedSupportCalculator:
-    """Per-node DEP transfer on packed rows (the cut enumerator's kernel).
+    """Per-node DEP terms on packed rows (the cut enumerator's kernel).
 
     Uses the global bit numbering of
     :class:`~repro.bitdeps.support.SupportCalculator` — bit ``b`` of node
@@ -234,18 +224,13 @@ class PackedSupportCalculator:
 
     def __init__(self, graph: CDFG) -> None:
         self.graph = graph
-        max_dist = 0
-        for node in graph:
-            for op in node.operands:
-                max_dist = max(max_dist, op.distance)
-        self.max_distance = max_dist
+        max_dist = max((op.distance for node in graph
+                        for op in node.operands), default=0)
         self._offset: dict[int, int] = {}
         total = 0
         for nid in graph.node_ids:
             self._offset[nid] = total
             total += graph.node(nid).width * (max_dist + 1)
-        self.total_bits = total
-        self.words = max(1, (total + 63) // 64)
         self._leaf_cache: dict[tuple[int, int], Rows] = {}
         self._width_cache: dict[int, list[int]] = {}
 
@@ -258,15 +243,15 @@ class PackedSupportCalculator:
         key = (nid, distance)
         cached = self._leaf_cache.get(key)
         if cached is None:
-            node = self.graph.node(nid)
-            base = self._offset[nid] + distance * node.width
-            mat = np.zeros((node.width, self.words), dtype=_U64)
-            idx = base + np.arange(node.width)
-            mat[np.arange(node.width), idx >> 6] = np.uint64(1) << (
+            width = self.graph.node(nid).width
+            idx = self.global_index(nid, 0, distance) + np.arange(width)
+            lo = int(idx[0]) >> 6
+            mat = np.zeros((width, (int(idx[-1]) >> 6) + 1 - lo), dtype=_U64)
+            mat[np.arange(width), (idx >> 6) - lo] = np.uint64(1) << (
                 idx & 63
             ).astype(_U64)
             mat.setflags(write=False)
-            cached = Rows(mat, base >> 6, ((base + node.width - 1) >> 6) + 1)
+            cached = Rows(mat, lo)
             self._leaf_cache[key] = cached
         return cached
 
@@ -278,147 +263,72 @@ class PackedSupportCalculator:
             self._width_cache[node.nid] = widths
         return widths
 
-    # -- DEP transfer --------------------------------------------------
+    # -- DEP -------------------------------------------------------------
+    def term(self, node: Node, slot: int, rows: Rows) -> Rows:
+        """What operand ``slot`` adds to the support of every output bit.
+
+        ``rows`` are the packed supports of the operand's bits; the result
+        has one row per output bit of ``node`` and lives on the operand's
+        window, or is empty when no output bit reads the slot.
+        """
+        kind = node.kind
+        if node.op_class is OpClass.BLACKBOX:
+            raise CutError(f"DEP undefined for black-box node {node.nid}")
+        W = node.width
+        widths = self._widths(node)
+        w = widths[slot]
+        m = rows.mat
+
+        def moved(dst: int, src: int, n: int, mat: np.ndarray = m) -> Rows:
+            """Output bit ``dst + i`` reads row ``src + i`` of ``mat``, i < n."""
+            if n <= 0:
+                return _no_support(W)
+            out = np.zeros((W, mat.shape[1]), dtype=_U64)
+            out[dst:dst + n] = mat[src:src + n]
+            return Rows(out, rows.lo)
+
+        def every(row: np.ndarray) -> Rows:
+            """Every output bit reads the one support row ``row``."""
+            return Rows(np.repeat(row[None, :], W, axis=0), rows.lo)
+
+        if kind in (OpKind.INPUT, OpKind.CONST):
+            return _no_support(W)
+        if kind in _SAME_INDEX or (kind is OpKind.MUX and slot):
+            return moved(0, 0, min(W, w))
+        if kind is OpKind.MUX:  # the select bit drives every output bit
+            return every(m[0])
+        if kind is OpKind.SHL:
+            return moved(node.amount, 0, min(W - node.amount, w))
+        if kind in (OpKind.SHR, OpKind.SLICE):
+            return moved(0, node.amount, min(W, w - node.amount))
+        if kind is OpKind.CONCAT:  # slot 0 is the low half
+            dst = widths[0] if slot else 0
+            return moved(dst, 0, min(W - dst, w))
+        if kind in (OpKind.ADD, OpKind.SUB, OpKind.NEG) \
+                or (kind is OpKind.VSHL and slot == 0):
+            prefix = np.bitwise_or.accumulate(m, axis=0)
+            return Rows(prefix[np.minimum(np.arange(W), w - 1)], rows.lo)
+        if kind is OpKind.VSHR and slot == 0:
+            suffix = np.bitwise_or.accumulate(m[::-1], axis=0)[::-1]
+            return moved(0, 0, min(W, w), suffix)
+        if kind in (OpKind.SLT, OpKind.SGE):
+            # Sign test against constant zero: only the other operand's
+            # sign bit matters (slot 1 is checked first, as in dep_bits).
+            zero = [s for s in (1, 0) if _is_const_zero(self.graph, node, s)]
+            if zero:
+                return _no_support(W) if slot == zero[0] else every(m[w - 1])
+        if kind in (OpKind.SLT, OpKind.SGE, OpKind.EQ, OpKind.NE, OpKind.LT,
+                    OpKind.GE, OpKind.VSHL, OpKind.VSHR):
+            return every(np.bitwise_or.reduce(m, axis=0))
+        raise CutError(f"DEP not defined for {kind.value}")  # pragma: no cover
+
     def transfer(self, node: Node, slot_rows: Mapping[int, Rows]) -> Rows:
-        """Support rows of ``node`` given packed rows per operand *slot*.
+        """Support rows of ``node`` given packed rows per operand *slot*:
+        the OR of the slots' terms.
 
         Slots absent from ``slot_rows`` contribute nothing (constant
         operands are absorbed for free) — exactly the semantics of
         ``SupportCalculator.supports``.
         """
-        graph = self.graph
-        kind = node.kind
-        if node.op_class is OpClass.BLACKBOX:
-            raise CutError(f"DEP undefined for black-box node {node.nid}")
-        W = node.width
-        out = np.zeros((W, self.words), dtype=_U64)
-        olo, ohi = self.words, 0
-        if kind in (OpKind.INPUT, OpKind.CONST):
-            return Rows(out, 0, 0)
-        widths = self._widths(node)
-
-        def rows(slot: int) -> Rows | None:
-            r = slot_rows.get(slot)
-            return None if r is None or r.empty else r
-
-        def done() -> Rows:
-            return Rows(out, olo, ohi) if ohi > olo else Rows(out, 0, 0)
-
-        if kind in (OpKind.OUTPUT, OpKind.NOT, OpKind.TRUNC, OpKind.ZEXT):
-            r = rows(0)
-            if r is not None:
-                n = min(W, widths[0])
-                out[:n, r.lo:r.hi] |= r.mat[:n, r.lo:r.hi]
-                olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-            return done()
-        if kind in (OpKind.AND, OpKind.OR, OpKind.XOR):
-            for slot in (0, 1):
-                r = rows(slot)
-                if r is not None:
-                    n = min(W, widths[slot])
-                    out[:n, r.lo:r.hi] |= r.mat[:n, r.lo:r.hi]
-                    olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-            return done()
-        if kind is OpKind.MUX:
-            r = rows(0)
-            if r is not None:
-                out[:, r.lo:r.hi] |= r.mat[0, r.lo:r.hi]
-                olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-            for slot in (1, 2):
-                r = rows(slot)
-                if r is not None:
-                    n = min(W, widths[slot])
-                    out[:n, r.lo:r.hi] |= r.mat[:n, r.lo:r.hi]
-                    olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-            return done()
-        if kind is OpKind.SHL:
-            r = rows(0)
-            if r is not None:
-                n = min(W - node.amount, widths[0])
-                if n > 0:
-                    out[node.amount:node.amount + n, r.lo:r.hi] |= \
-                        r.mat[:n, r.lo:r.hi]
-                    olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-            return done()
-        if kind in (OpKind.SHR, OpKind.SLICE):
-            r = rows(0)
-            if r is not None:
-                n = min(W, widths[0] - node.amount)
-                if n > 0:
-                    out[:n, r.lo:r.hi] |= \
-                        r.mat[node.amount:node.amount + n, r.lo:r.hi]
-                    olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-            return done()
-        if kind is OpKind.CONCAT:
-            r = rows(0)
-            if r is not None:
-                n = min(W, widths[0])
-                out[:n, r.lo:r.hi] |= r.mat[:n, r.lo:r.hi]
-                olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-            r = rows(1)
-            if r is not None and W > widths[0]:
-                n = min(W - widths[0], widths[1])
-                out[widths[0]:widths[0] + n, r.lo:r.hi] |= r.mat[:n, r.lo:r.hi]
-                olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-            return done()
-        if kind in (OpKind.ADD, OpKind.SUB, OpKind.NEG):
-            slots = (0,) if kind is OpKind.NEG else (0, 1)
-            for slot in slots:
-                r = rows(slot)
-                if r is not None:
-                    prefix = np.bitwise_or.accumulate(
-                        r.mat[:, r.lo:r.hi], axis=0)
-                    idx = np.minimum(np.arange(W), widths[slot] - 1)
-                    out[:, r.lo:r.hi] |= prefix[idx]
-                    olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-            return done()
-        if kind in (OpKind.SLT, OpKind.SGE):
-            if _is_const_zero(graph, node, 1):
-                r = rows(0)
-                if r is not None:
-                    out[:, r.lo:r.hi] |= r.mat[widths[0] - 1, r.lo:r.hi]
-                    olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-                return done()
-            if _is_const_zero(graph, node, 0):
-                r = rows(1)
-                if r is not None:
-                    out[:, r.lo:r.hi] |= r.mat[widths[1] - 1, r.lo:r.hi]
-                    olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-                return done()
-            for slot in (0, 1):
-                r = rows(slot)
-                if r is not None:
-                    out[:, r.lo:r.hi] |= np.bitwise_or.reduce(
-                        r.mat[:, r.lo:r.hi], axis=0)
-                    olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-            return done()
-        if kind in (OpKind.EQ, OpKind.NE, OpKind.LT, OpKind.GE):
-            for slot in (0, 1):
-                r = rows(slot)
-                if r is not None:
-                    out[:, r.lo:r.hi] |= np.bitwise_or.reduce(
-                        r.mat[:, r.lo:r.hi], axis=0)
-                    olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-            return done()
-        if kind in (OpKind.VSHL, OpKind.VSHR):
-            r = rows(0)
-            if r is not None:
-                if kind is OpKind.VSHL:
-                    prefix = np.bitwise_or.accumulate(
-                        r.mat[:, r.lo:r.hi], axis=0)
-                    out[:, r.lo:r.hi] |= prefix[
-                        np.minimum(np.arange(W), widths[0] - 1)]
-                else:
-                    suffix = np.bitwise_or.accumulate(
-                        r.mat[::-1, r.lo:r.hi], axis=0)[::-1]
-                    n = min(W, widths[0])
-                    out[:n, r.lo:r.hi] |= suffix[:n]
-                olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-            r = rows(1)
-            if r is not None:
-                out[:, r.lo:r.hi] |= np.bitwise_or.reduce(
-                    r.mat[:, r.lo:r.hi], axis=0)
-                olo, ohi = min(olo, r.lo), max(ohi, r.hi)
-            return done()
-
-        raise CutError(f"DEP not defined for {kind.value}")  # pragma: no cover
+        return or_rows([self.term(node, slot, rows)
+                        for slot, rows in slot_rows.items()], node.width)

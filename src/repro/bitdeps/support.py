@@ -16,16 +16,12 @@ from ..ir.graph import CDFG
 from ..ir.types import OpKind
 from .dep import dep_bits
 
-__all__ = ["GLOBAL_BIT", "SupportCalculator", "popcount"]
+__all__ = ["SupportCalculator", "popcount"]
 
 
 def popcount(mask: int) -> int:
     """Number of set bits in a support mask."""
     return mask.bit_count()
-
-
-class GLOBAL_BIT:
-    """Namespace marker; see :meth:`SupportCalculator.global_index`."""
 
 
 class SupportCalculator:

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bitdeps.dep import word_dep_sources
 from ..bitdeps.packed import (
     PackedSupportCalculator,
-    ints_to_rows,
+    Rows,
     max_popcount,
     max_support_product,
     or_rows,
@@ -75,9 +74,12 @@ class CutEnumerator:
         Safety valve on the per-node merge product.
 
     Supports are composed on packed uint64 bitmask rows
-    (:class:`~repro.bitdeps.packed.PackedSupportCalculator`). A merge
-    transfers each (slot, choice) once on its own and K-filters every
-    combination in one batched popcount
+    (:class:`~repro.bitdeps.packed.PackedSupportCalculator`). Each node's
+    *leaf terms* — what each operand slot's own bits add to its support —
+    are computed once: a slot is a DEP input iff its leaf term is
+    non-empty, the unit cut is their OR, and they are the terms of every
+    trivial merge choice. A merge takes each other (slot, choice) term
+    once and K-filters every combination in one batched popcount
     (:func:`~repro.bitdeps.packed.max_support_product`); only feasible
     combinations become cuts. The stored ``Cut.masks`` are the same
     Python-int masks :class:`~repro.bitdeps.SupportCalculator` computes
@@ -97,7 +99,7 @@ class CutEnumerator:
         self._trivial: dict[int, Cut] = {}
         self._merged: dict[int, list[Cut]] = {}
         self._unit: dict[int, Cut | None] = {}
-        self._slots: dict[int, list[int]] = {}
+        self._leaf_terms: dict[int, dict[int, Rows]] = {}
 
     # ------------------------------------------------------------------
     def run(self) -> dict[int, CutSet]:
@@ -144,6 +146,7 @@ class CutEnumerator:
         # The packed rows only matter while cuts are merge ingredients;
         # downstream consumers read the int masks. Drop the matrices so
         # the enumerator does not double the mask memory footprint.
+        self._leaf_terms.clear()
         for cuts in self._merged.values():
             for cut in cuts:
                 if "_rows" in cut.__dict__:
@@ -177,18 +180,13 @@ class CutEnumerator:
             return Cut(nid, frozenset(p[0] for p in pairs),
                        tuple([0] * node.width), kind="unit",
                        entries=tuple(sorted(pairs)))
-        # Rows are keyed by operand slot (not source id), which keeps two
+        # Entries are keyed by operand slot (not source id), which keeps two
         # uses of the same node at different iteration distances distinct;
-        # constant operands have no slot entry and are absorbed for free.
-        pairs = set()
-        slot_rows: dict[int, object] = {}
-        for slot in self._dep_slots(nid):
-            op = node.operands[slot]
-            if graph.node(op.source).kind is OpKind.CONST:
-                continue
-            pairs.add((op.source, op.distance))
-            slot_rows[slot] = self._pcalc.leaf_rows(op.source, op.distance)
-        rows = self._pcalc.transfer(node, slot_rows)
+        # constant operands have no leaf term and are absorbed for free.
+        terms = self._leaf_terms_of(nid)
+        pairs = {(node.operands[slot].source, node.operands[slot].distance)
+                 for slot in terms}
+        rows = or_rows(list(terms.values()), node.width)
         cut = Cut(nid, frozenset(p[0] for p in pairs),
                   tuple(rows_to_ints(rows)), kind="unit",
                   entries=tuple(sorted(pairs)))
@@ -196,21 +194,23 @@ class CutEnumerator:
         object.__setattr__(cut, "_max_support", max_popcount(rows))
         return cut
 
-    def _dep_slots(self, nid: int) -> list[int]:
-        """``word_dep_sources`` of a node, computed once per enumeration."""
-        slots = self._slots.get(nid)
-        if slots is None:
-            slots = word_dep_sources(self.graph, self.graph.node(nid))
-            self._slots[nid] = slots
-        return slots
-
-    def _cut_rows(self, cut: Cut):
-        """Packed rows of a cut's masks, cached on the cut instance."""
-        rows = cut.__dict__.get("_rows")
-        if rows is None:
-            rows = ints_to_rows(cut.masks, self._pcalc.words)
-            object.__setattr__(cut, "_rows", rows)
-        return rows
+    def _leaf_terms_of(self, nid: int) -> dict[int, Rows]:
+        """Per DEP input slot (ascending, constants skipped), what the
+        slot's own bits add to the node's support; once per enumeration."""
+        terms = self._leaf_terms.get(nid)
+        if terms is None:
+            graph, pcalc = self.graph, self._pcalc
+            node = graph.node(nid)
+            terms = {}
+            for slot, op in enumerate(node.operands):
+                if graph.node(op.source).kind is OpKind.CONST:
+                    continue
+                term = pcalc.term(node, slot,
+                                  pcalc.leaf_rows(op.source, op.distance))
+                if not term.empty:
+                    terms[slot] = term
+            self._leaf_terms[nid] = terms
+        return terms
 
     def _update_node(self, nid: int) -> bool:
         """Recompute the cut set of one node; True if it changed (Alg. 1 l.7-10)."""
@@ -232,12 +232,11 @@ class CutEnumerator:
         # choice is (slot, cut, edge_distance): the distance matters when the
         # operand enters as a boundary value (registered vs combinational),
         # and only distance-0 operands may be absorbed (DESIGN.md note 5).
+        leaf = self._leaf_terms_of(nid)
         choice_lists: list[list[tuple[int, Cut, int]]] = []
-        for slot in self._dep_slots(nid):
+        for slot in leaf:
             op = node.operands[slot]
             src_node = graph.node(op.source)
-            if src_node.kind is OpKind.CONST:
-                continue
             choices = [(slot, self._trivial[op.source], op.distance)]
             if op.distance == 0 and src_node.is_mappable \
                     and src_node.kind is not OpKind.OUTPUT:
@@ -256,17 +255,15 @@ class CutEnumerator:
             choice_lists = [lst[: max(2, self.max_candidates // 1000)]
                             for lst in choice_lists]
 
-        # Every DEP transfer ORs one independent term per operand slot, so
-        # a combination's rows are the OR of its choices' single-slot
-        # transfers: transfer each choice once, take every combination's
-        # support in one batched popcount, and build only the K-feasible
-        # ones, in itertools.product order. An over-K combination never
-        # entered ``seen``, so skipping it first keeps the same cuts.
-        pcalc = self._pcalc
-        terms = [[pcalc.transfer(node, {slot: pcalc.leaf_rows(cut.root, dist)
-                                        if cut.is_trivial
-                                        else self._cut_rows(cut)})
-                  for slot, cut, dist in choices]
+        # A combination's rows are the OR of its choices' slot terms: take
+        # each choice's term once (a trivial choice's is the slot's leaf
+        # term), every combination's support in one batched popcount, and
+        # build only the K-feasible ones, in itertools.product order. An
+        # over-K combination never entered ``seen``, so skipping it first
+        # keeps the same cuts.
+        terms = [[leaf[slot] if cut.is_trivial
+                  else self._pcalc.term(node, slot, cut.__dict__["_rows"])
+                  for slot, cut, _ in choices]
                  for choices in choice_lists]
         supports = max_support_product(terms)
         self.stats.candidates_generated += len(supports)
@@ -296,7 +293,7 @@ class CutEnumerator:
             # obligation. Subtracting the boundary here once created covers
             # whose recomputed logic could be scheduled before its inputs.
             rows = or_rows([slot[i] for slot, i in zip(terms, picks)],
-                           node.width, pcalc.words)
+                           node.width)
             candidate = Cut(nid, boundary, tuple(rows_to_ints(rows)),
                             kind="merged", interior=frozenset(interior),
                             entries=entries)

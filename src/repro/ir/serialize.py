@@ -24,7 +24,8 @@ __all__ = ["graph_to_dict", "graph_from_dict", "dumps", "loads",
 
 FORMAT_VERSION = 1
 
-SCHEDULE_FORMAT_VERSION = 1
+#: v2: cut masks are stored as lists of set-bit indices.
+SCHEDULE_FORMAT_VERSION = 2
 
 
 def graph_to_dict(graph: CDFG) -> dict[str, Any]:
@@ -102,12 +103,35 @@ def graph_from_dict(data: dict[str, Any], check: bool = True) -> CDFG:
 # ----------------------------------------------------------------------
 # Cover and schedule round-trip (flow-cache support)
 # ----------------------------------------------------------------------
+def _set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+def _from_bits(bits: list[int]) -> int:
+    mask = 0
+    for bit in bits:
+        mask |= 1 << int(bit)
+    return mask
+
+
 def cut_to_dict(cut) -> dict[str, Any]:
-    """Serialize one :class:`~repro.cuts.cut.Cut` (fully explicit)."""
+    """Serialize one :class:`~repro.cuts.cut.Cut` (fully explicit).
+
+    A support mask is numbered in its graph's whole bit space, so its
+    integer value grows with the global index of its top bit (tens of
+    thousands of bits on paper-sized designs) while it has at most a few
+    dozen set bits: each mask is stored as its set-bit indices.
+    """
     return {
         "root": cut.root,
         "boundary": sorted(cut.boundary),
-        "masks": list(cut.masks),
+        "masks": [_set_bits(m) for m in cut.masks],
         "kind": cut.kind,
         "interior": sorted(cut.interior),
         "entries": [[nid, dist] for nid, dist in cut.entries],
@@ -121,7 +145,7 @@ def cut_from_dict(data: dict[str, Any]):
     return Cut(
         root=int(data["root"]),
         boundary=frozenset(int(n) for n in data["boundary"]),
-        masks=tuple(int(m) for m in data["masks"]),
+        masks=tuple(_from_bits(bits) for bits in data["masks"]),
         kind=data.get("kind", "merged"),
         interior=frozenset(int(n) for n in data.get("interior", [])),
         entries=tuple((int(nid), int(dist))

@@ -33,7 +33,9 @@ __all__ = ["CACHE_SCHEMA_VERSION", "flow_fingerprint", "fingerprint_payload"]
 #: v2: SchedulerConfig grew the partition / partition_size /
 #: partition_rounds fields (they are hashed via fingerprint_fields, and
 #: partitioned schedules may carry composed covers older readers never saw).
-CACHE_SCHEMA_VERSION = 2
+#: v3: cut masks are stored as set-bit index lists, and stitched covers
+#: number them in the full graph's bit space.
+CACHE_SCHEMA_VERSION = 3
 
 
 def _device_fields(device: Device) -> dict[str, Any]:

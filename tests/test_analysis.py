@@ -202,20 +202,29 @@ class TestIRRules:
 # DEP soundness
 # ----------------------------------------------------------------------
 
+def inject_empty_dep(monkeypatch):
+    """Make the cut-sizing DEP kernel say no operand bit is ever read."""
+    import numpy as np
+
+    from repro.bitdeps.packed import PackedSupportCalculator, Rows
+
+    monkeypatch.setattr(
+        PackedSupportCalculator, "term",
+        lambda self, node, slot, rows:
+            Rows(np.zeros((node.width, 0), dtype=np.uint64), 0))
+
+
 class TestDepSoundness:
     def test_dep001_clean_on_real_dep(self, fig1_graph, recurrent_graph):
         for g in (fig1_graph, recurrent_graph):
             assert "DEP001" not in codes_of(lint_graph(g))
 
     def test_dep001_fires_on_underapproximate_dep(self, monkeypatch):
-        import repro.analysis.dep_rules as dep_rules
-
         b = DFGBuilder("t", width=4)
         x = b.input("x")
         y = b.input("y")
         b.output(x ^ y, "o")
-        monkeypatch.setattr(dep_rules, "dep_bits",
-                            lambda graph, node, j: [])
+        inject_empty_dep(monkeypatch)
         report = lint_graph(b.graph)
         assert "DEP001" in codes_of(report)
         diag = report.by_code("DEP001")[0]
@@ -231,14 +240,11 @@ class TestDepSoundness:
         assert "DEP001" not in codes_of(lint_graph(b.graph))
 
     def test_dep001_budget_zero_disables(self, monkeypatch):
-        import repro.analysis.dep_rules as dep_rules
-
         b = DFGBuilder("t", width=4)
         x = b.input("x")
         y = b.input("y")
         b.output(x ^ y, "o")
-        monkeypatch.setattr(dep_rules, "dep_bits",
-                            lambda graph, node, j: [])
+        inject_empty_dep(monkeypatch)
         report = lint_graph(b.graph, options={"dep_nodes": 0})
         assert "DEP001" not in codes_of(report)
 

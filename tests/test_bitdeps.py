@@ -12,11 +12,9 @@ from repro.bitdeps import (
     SupportCalculator,
     dep_bits,
     popcount,
-    word_dep_sources,
 )
 from repro.bitdeps.packed import (
     Rows,
-    ints_to_rows,
     max_popcount,
     or_rows,
     rows_to_ints,
@@ -110,10 +108,17 @@ class TestDepFunctions:
             dep_bits(b.graph, v, 0)
 
     def test_word_dep_sources(self):
+        # Word-level DEP(v): the operand slots whose leaf term is non-empty.
         b = build()
         a, c = b.input("a"), b.input("c")
-        v = b.mux(a.bit(0), a, c).node
-        assert word_dep_sources(b.graph, v) == [0, 1, 2]
+        nodes = [b.mux(a.bit(0), a, c).node,
+                 (a << 4).node,  # shifts every bit out
+                 (a >> 3).node]
+        calc = PackedSupportCalculator(b.graph)
+        live = [[slot for slot, op in enumerate(v.operands)
+                 if not calc.term(v, slot, calc.leaf_rows(op.source)).empty]
+                for v in nodes]
+        assert live == [[0, 1, 2], [], [0]]
 
 
 class TestSupportCalculator:
@@ -415,20 +420,38 @@ class TestPackedTransfer(OpClassSweeps):
 
     def test_round_trip_and_popcounts(self):
         masks = [0, 1, (1 << 64) - 1, 1 << 200, (1 << 130) | 7]
-        rows = ints_to_rows(masks, words=4)
-        assert rows_to_ints(rows) == masks
-        assert max_popcount(rows) == max(popcount(m) for m in masks)
+        for shift in (0, 128):  # windows starting at word 0 and word 2
+            shifted = [m << shift for m in masks]
+            rows = ints_to_rows(shifted)
+            assert rows.lo == shift // 64
+            assert rows_to_ints(rows) == shifted
+            assert max_popcount(rows) == max(popcount(m) for m in masks)
+
+
+def ints_to_rows(masks):
+    """Pack Python-int masks into :class:`Rows` on the window of their
+    set bits."""
+    bits = [m for m in masks if m]
+    lo = min((m & -m).bit_length() - 1 for m in bits) >> 6 if bits else 0
+    hi = max(((m.bit_length() + 63) >> 6 for m in bits), default=lo)
+    mat = np.zeros((len(masks), hi - lo), dtype=np.uint64)
+    for i, mask in enumerate(masks):
+        mat[i] = np.frombuffer((mask >> 64 * lo).to_bytes(8 * (hi - lo),
+                                                          "little"),
+                               dtype=np.uint64)
+    return Rows(mat, lo)
 
 
 def random_rows(rng, n, words):
-    """``n`` random rows whose set bits lie in a random word range."""
+    """``n`` random rows whose set bits lie in a random word window of a
+    ``words``-word space."""
     lo = rng.randrange(words)
     hi = rng.randrange(lo, words + 1)
-    mat = np.zeros((n, words), dtype=np.uint64)
+    mat = np.zeros((n, hi - lo), dtype=np.uint64)
     for i in range(n):
-        for w in range(lo, hi):
+        for w in range(hi - lo):
             mat[i, w] = rng.getrandbits(64) & rng.getrandbits(64)
-    return Rows(mat, lo, hi)
+    return Rows(mat, lo)
 
 
 class TestTransferSeparability(OpClassSweeps):
@@ -436,8 +459,8 @@ class TestTransferSeparability(OpClassSweeps):
 
     The cut enumerator's batched K-filter relies on this: the transfer of
     any set of slots must equal ``or_rows`` of the single-slot transfers,
-    active word range ``[lo, hi)`` included. The slot rows are random and
-    sit in different word ranges of a four-word space, so the range rule
+    word window ``[lo, hi)`` included. The slot rows are random and sit
+    in different word windows of a four-word space, so the window rule
     is exercised too.
     """
 
@@ -446,22 +469,21 @@ class TestTransferSeparability(OpClassSweeps):
     def _check(self, graph, target, boundary):
         node = graph.node(target)
         calc = PackedSupportCalculator(graph)
-        if node.is_blackbox:
-            with pytest.raises(CutError):
-                calc.transfer(node, {})
-            return
-        calc.words = self.WORDS
         rng = random.Random(node.width)
         slot_rows = {
             slot: random_rows(rng, graph.node(op.source).width, self.WORDS)
             for slot, op in enumerate(node.operands)
             if graph.node(op.source).kind is not OpKind.CONST
         }
+        if node.is_blackbox:
+            with pytest.raises(CutError):
+                calc.transfer(node, slot_rows)
+            return
         for n in range(len(slot_rows) + 1):
             for slots in itertools.combinations(sorted(slot_rows), n):
                 whole = calc.transfer(node, {s: slot_rows[s] for s in slots})
                 union = or_rows(
                     [calc.transfer(node, {s: slot_rows[s]}) for s in slots],
-                    node.width, self.WORDS)
+                    node.width)
                 assert (union.lo, union.hi) == (whole.lo, whole.hi)
                 assert np.array_equal(union.mat, whole.mat)

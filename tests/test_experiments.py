@@ -1,5 +1,7 @@
 """Tests for the experiment harnesses (Table 1/2, Figures 1/2, ablations)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core import SchedulerConfig
@@ -20,6 +22,7 @@ from repro.experiments import (
     run_flow,
     run_table1,
     run_table2,
+    sweep_bitblast,
     sweep_k,
 )
 from repro.tech.device import TUTORIAL4, XC7
@@ -127,7 +130,30 @@ class TestTables:
         assert "GFMUL" in text and "Mean" in text
 
 
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+
+def result_rows(name, columns):
+    """The leading ``columns`` cells of every data row of a results table."""
+    lines = (RESULTS / name).read_text().splitlines()[3:]
+    return [[cell.strip() for cell in line.split("|")[:columns]]
+            for line in lines if line.strip()]
+
+
 class TestAblations:
+    def test_enumeration_counts_match_results(self):
+        """The count columns of Ablations C and E (timings ignored);
+        bit-blasted graphs have the most nodes per word of bit space of
+        anything enumerated here."""
+        k_rows = [[p.design, str(p.k), str(p.cuts), str(p.candidates)]
+                  for p in sweep_k()]
+        assert k_rows == result_rows("ablation_k.txt", 4)
+        blast_rows = [[p.design, str(p.word_ops), str(p.bit_ops),
+                       str(p.word_cuts), str(p.bit_cuts)]
+                      for p in sweep_bitblast()]
+        # the results table adds CLZ to the three default designs
+        assert blast_rows == result_rows("ablation_bitblast.txt", 5)[:3]
+
     def test_k_sweep_counts_grow_with_k(self):
         points = sweep_k(designs=["GFMUL"], ks=[2, 4, 6])
         by_k = {p.k: p.cuts for p in points}

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bitdeps import SupportCalculator
 from repro.core.config import SchedulerConfig
 from repro.core.verify import verify_schedule
 from repro.designs import BENCHMARKS, FULLSIZE, random_dfg
-from repro.errors import SchedulingError
+from repro.errors import CutError, SchedulingError
 from repro.experiments import run_flow
 from repro.hw.cost import evaluate
 from repro.ir.types import OpKind
@@ -23,6 +24,7 @@ from repro.runtime import flow_fingerprint
 from repro.tech.device import XC7
 
 from .conftest import build_fig1, build_recurrent
+from .test_cuts import registered_cut_masks
 
 FAST = SchedulerConfig(ii=1, tcp=10.0, time_limit=30.0, max_cuts=8)
 
@@ -180,6 +182,35 @@ def test_partition_schedule_verifies_and_respects_handoffs():
                 assert (schedule.cycle[node.nid] + ii * op.distance
                         >= schedule.cycle[op.source] + 1), (
                     f"boundary edge {op.source}->{node.nid} not registered")
+
+
+def test_stitched_cover_masks_use_the_full_graph_bit_numbering():
+    """Each subgraph numbers support bits in its own bit space; the
+    stitched cover must carry them in the full graph's, as if the cut had
+    been enumerated there."""
+    config = SchedulerConfig(ii=1, tcp=10.0, time_limit=30.0, max_cuts=8,
+                             partition=True, partition_size=12,
+                             partition_rounds=0)
+    flow = run_flow(BENCHMARKS["GFMUL"].build(), "milp-map", XC7, config,
+                    lint=False)
+    schedule = flow.schedule
+    graph = schedule.graph
+    calc = SupportCalculator(graph)
+    assert flow.trace.find("subgraph-solve")[0].meta["subgraphs"] > 1
+    checked = 0
+    for nid, cut in schedule.cover.items():
+        if cut.is_trivial:
+            assert cut.masks == tuple(calc.leaf_masks(nid))
+            continue
+        if cut.interior & cut.boundary:
+            continue  # recomputed boundary node, see test_cuts.py
+        try:
+            fresh = registered_cut_masks(calc, graph, cut)
+        except CutError:
+            continue  # black-box root: no DEP to recompute
+        assert tuple(fresh) == cut.masks, (nid, cut)
+        checked += 1
+    assert checked > 0
 
 
 def test_partition_feedback_merges_worst_boundary():

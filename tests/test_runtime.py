@@ -721,6 +721,7 @@ def test_benchmark_names_roundtrip_through_tasks():
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from repro.cuts.cut import Cut  # noqa: E402
 from repro.fuzz import generate_case  # noqa: E402
 from repro.ir.serialize import cut_from_dict, cut_to_dict  # noqa: E402
 
@@ -749,6 +750,16 @@ def test_fuzzed_cuts_roundtrip_exactly(seed):
     for cut in sched.cover.values():
         wire = json.loads(json.dumps(cut_to_dict(cut)))
         assert cut_from_dict(wire) == cut
+
+
+def test_cut_with_high_mask_bits_roundtrips():
+    """Masks are numbered in the whole graph's bit space (bit 16k and up
+    on XORR512), beyond the 4300 decimal digits ``json`` may print."""
+    cut = Cut(root=3, boundary=frozenset({1, 2}),
+              masks=((1 << 20_000) | (1 << 19_999) | 5, 0, 1 << 64),
+              entries=((1, 0), (2, 1)))
+    wire = json.loads(json.dumps(cut_to_dict(cut)))
+    assert cut_from_dict(wire) == cut
 
 
 @settings(max_examples=6, deadline=None,

@@ -5,8 +5,9 @@ and K-filters every combination in one batched popcount
 (:func:`~repro.bitdeps.packed.max_support_product`). The loop it replaced
 -- one full DEP transfer and one popcount per combination -- lives on here
 as :class:`ReferenceEnumerator`, over the scalar kernel that composed
-supports as Python-int masks walked bit by bit. Both must agree exactly
-on every cut, in order, and on the enumeration counters.
+supports as Python-int masks walked bit by bit, with its own walk of
+``dep_bits`` for the DEP input slots. Both must agree exactly on every
+cut, in order, and on the enumeration counters.
 """
 
 import itertools
@@ -17,7 +18,6 @@ import pytest
 import repro.bitdeps.packed as packed
 import repro.cuts.enumerate as cut_enum
 from repro.bitdeps import SupportCalculator, dep_bits, popcount
-from repro.bitdeps.dep import word_dep_sources
 from repro.cuts.cut import Cut
 from repro.cuts.enumerate import CutEnumerator
 from repro.designs import BENCHMARKS
@@ -29,8 +29,6 @@ from repro.ir.types import OpKind
 class BigIntKernel(SupportCalculator):
     """The scalar merge kernel behind the packed calculator's interface:
     a cut's "rows" are its list of per-bit Python-int masks."""
-
-    words = 0  # no packing
 
     def leaf_rows(self, nid, distance=0):
         return self.leaf_masks(nid, distance)
@@ -53,12 +51,38 @@ def max_popcount(masks):
     return max(map(popcount, masks), default=0)
 
 
+def dep_slots(graph, node):
+    """Operand slots that some output bit of ``node`` reads, ascending."""
+    return sorted({entry.slot for j in range(node.width)
+                   for entry in dep_bits(graph, node, j)})
+
+
 class ReferenceEnumerator(CutEnumerator):
     """The enumerator with the per-combination merge loop over big ints."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._pcalc = BigIntKernel(self.graph)
+
+    def _make_unit(self, nid):
+        graph = self.graph
+        node = graph.node(nid)
+        if node.is_blackbox:
+            return super()._make_unit(nid)
+        pairs = set()
+        slot_rows = {}
+        for slot in dep_slots(graph, node):
+            op = node.operands[slot]
+            if graph.node(op.source).kind is OpKind.CONST:
+                continue
+            pairs.add((op.source, op.distance))
+            slot_rows[slot] = self._pcalc.leaf_rows(op.source, op.distance)
+        rows = self._pcalc.transfer(node, slot_rows)
+        cut = Cut(nid, frozenset(p[0] for p in pairs), tuple(rows),
+                  kind="unit", entries=tuple(sorted(pairs)))
+        object.__setattr__(cut, "_rows", rows)
+        object.__setattr__(cut, "_max_support", max_popcount(rows))
+        return cut
 
     def _update_node(self, nid):
         graph = self.graph
@@ -75,9 +99,8 @@ class ReferenceEnumerator(CutEnumerator):
         if self.max_cuts == 0:
             return changed
 
-        slots = word_dep_sources(graph, node)
         choice_lists = []
-        for slot in slots:
+        for slot in dep_slots(graph, node):
             op = node.operands[slot]
             src_node = graph.node(op.source)
             if src_node.kind is OpKind.CONST:
@@ -114,7 +137,7 @@ class ReferenceEnumerator(CutEnumerator):
                     slot_rows[slot] = pcalc.leaf_rows(cut.root, edge_dist)
                 else:
                     pairs.update(cut.entries)
-                    slot_rows[slot] = self._cut_rows(cut)
+                    slot_rows[slot] = cut.__dict__["_rows"]
                     interior.add(cut.root)
                     interior.update(cut.interior)
             entries = tuple(sorted(pairs))
@@ -139,15 +162,6 @@ class ReferenceEnumerator(CutEnumerator):
         return changed
 
 
-def use_big_int_masks(monkeypatch):
-    """Point the unit-cut and cut-row helpers the reference inherits at
-    big-int masks."""
-    monkeypatch.setattr(cut_enum, "rows_to_ints", list)
-    monkeypatch.setattr(cut_enum, "ints_to_rows",
-                        lambda masks, words: list(masks))
-    monkeypatch.setattr(cut_enum, "max_popcount", max_popcount)
-
-
 def canon_cuts(cut_sets):
     """Cut sets as a comparable structure (selection order preserved)."""
     return {
@@ -165,13 +179,10 @@ def enumeration(enumerator):
             stats.capped_nodes)
 
 
-def assert_matches_reference(graph, monkeypatch, k=6, max_cuts=12,
-                             max_candidates=20000):
+def assert_matches_reference(graph, k=6, max_cuts=12, max_candidates=20000):
     batched = enumeration(CutEnumerator(graph, k, max_cuts, max_candidates))
-    with monkeypatch.context() as m:
-        use_big_int_masks(m)
-        reference = enumeration(
-            ReferenceEnumerator(graph, k, max_cuts, max_candidates))
+    reference = enumeration(
+        ReferenceEnumerator(graph, k, max_cuts, max_candidates))
     assert batched == reference
     return batched
 
@@ -185,23 +196,22 @@ DESIGNS = ["GSM", "DR", "CLZ", "GFMUL", "MT"]
 
 class TestCutEnumerationParity:
     @pytest.mark.parametrize("name", DESIGNS)
-    def test_cut_sets_identical(self, name, monkeypatch):
-        assert_matches_reference(narrowed(name), monkeypatch)
+    def test_cut_sets_identical(self, name):
+        assert_matches_reference(narrowed(name))
 
     @pytest.mark.parametrize("name", DESIGNS)
-    def test_cut_sets_identical_k4(self, name, monkeypatch):
-        assert_matches_reference(narrowed(name), monkeypatch, k=4,
-                                 max_cuts=4)
+    def test_cut_sets_identical_k4(self, name):
+        assert_matches_reference(narrowed(name), k=4, max_cuts=4)
 
-    def test_capped_products_identical(self, monkeypatch):
-        _, _, _, capped = assert_matches_reference(
-            narrowed("GFMUL"), monkeypatch, max_candidates=30)
+    def test_capped_products_identical(self):
+        _, _, _, capped = assert_matches_reference(narrowed("GFMUL"),
+                                                   max_candidates=30)
         assert capped > 0
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_random_graphs_with_recurrences(self, seed, monkeypatch):
+    def test_random_graphs_with_recurrences(self, seed):
         graph = random_dfg(seed, ops=14, width=6, inputs=3, recurrences=2)
-        assert_matches_reference(graph, monkeypatch, k=4, max_cuts=6)
+        assert_matches_reference(graph, k=4, max_cuts=6)
 
 
 def test_cuts_kept_counts_the_final_merged_cuts():
