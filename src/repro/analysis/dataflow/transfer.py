@@ -49,10 +49,6 @@ def _facts(bits: KnownBits, interval: Interval) -> Facts:
     return reduce_facts(bits, interval)
 
 
-def _from_bits(bits: KnownBits) -> Facts:
-    return _facts(bits, Interval.top(bits.width))
-
-
 # ----------------------------------------------------------------------
 # Known-bits kernels
 # ----------------------------------------------------------------------
@@ -285,7 +281,7 @@ def transfer(node: Node, args: Sequence[Facts]) -> Facts:
         if a.constant_value == 0:
             return Facts.const(0, w)
         bits = KnownBits(w, 0, m & ~_mask(tz))
-        return _from_bits(bits)
+        return _facts(bits, Interval.top(w))
 
     if kind is OpKind.MUL:
         a, b = args[0], args[1]

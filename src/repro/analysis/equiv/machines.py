@@ -327,8 +327,9 @@ class CoverMachine(_CoverEvalMixin):
 
     Each covered root is recomputed from its cone over boundary wires;
     carried boundary references read state at their dependence distance.
-    Catches unsound cut masks and bad boundary choices independent of
-    any scheduling concern.
+    Catches cones that do not compute their root (a wrong interior or a
+    missing entry) and bad boundary choices, independent of any
+    scheduling concern.
     """
 
     kind = "cover"

@@ -56,7 +56,6 @@ __all__ = [
     "Rows",
     "PackedSupportCalculator",
     "popcount_rows",
-    "max_popcount",
     "max_support_product",
     "or_rows",
     "rows_to_ints",
@@ -119,11 +118,6 @@ def popcount_rows(rows: Rows) -> np.ndarray:
     return _row_counts(rows.mat)
 
 
-def max_popcount(rows: Rows) -> int:
-    """Largest per-row popcount (0 for an empty matrix)."""
-    return int(popcount_rows(rows).max(initial=0))
-
-
 def _aligned(rows: Sequence[Rows], lo: int, hi: int,
              bits: slice = slice(None)) -> np.ndarray:
     """The ``bits`` rows of each of ``rows`` on the common window
@@ -153,7 +147,7 @@ def or_rows(terms: Sequence[Rows], width: int) -> Rows:
 
 
 def max_support_product(terms: Sequence[Sequence[Rows]]) -> np.ndarray:
-    """``max_popcount`` of the OR of every pick of one term per slot.
+    """Largest row popcount of the OR of every pick of one term per slot.
 
     ``terms[i]`` holds the terms of slot ``i``'s choices, all matrices
     with the node's width. Returns one int64 per combination, flat in
@@ -172,13 +166,13 @@ def max_support_product(terms: Sequence[Sequence[Rows]]) -> np.ndarray:
     step = min(width, max(1, _BLOCK_WORDS // (hi - lo)))
     for r0 in range(0, width, step):
         bits = slice(r0, r0 + step)
-        _fold_max_support(best, None, [_aligned(t, lo, hi, bits)
-                                       for t in terms])
+        _fold_best_support(best, None, [_aligned(t, lo, hi, bits)
+                                        for t in terms])
     return best
 
 
-def _fold_max_support(best: np.ndarray, prefix: np.ndarray | None,
-                      stacks: list[np.ndarray]) -> None:
+def _fold_best_support(best: np.ndarray, prefix: np.ndarray | None,
+                       stacks: list[np.ndarray]) -> None:
     """Fold into ``best`` the max row popcount of ``prefix`` ORed with
     every pick of one ``(rows, words)`` matrix per stack, in product order."""
     head, rest = stacks[0], stacks[1:]
@@ -187,7 +181,7 @@ def _fold_max_support(best: np.ndarray, prefix: np.ndarray | None,
     if rest and unit > _BLOCK_WORDS:
         for c in range(len(head)):
             term = head[c] if prefix is None else prefix | head[c]
-            _fold_max_support(best[c * inner:(c + 1) * inner], term, rest)
+            _fold_best_support(best[c * inner:(c + 1) * inner], term, rest)
         return
     step = max(1, _BLOCK_WORDS // unit)
     for a in range(0, len(head), step):

@@ -42,13 +42,11 @@ class SupportCalculator:
         for node in graph:
             for op in node.operands:
                 max_dist = max(max_dist, op.distance)
-        self.max_distance = max_dist
         self._offset: dict[int, int] = {}
         total = 0
         for nid in graph.node_ids:
             self._offset[nid] = total
             total += graph.node(nid).width * (max_dist + 1)
-        self.total_bits = total
 
     def global_index(self, nid: int, bit: int, distance: int = 0) -> int:
         """Global index of bit ``bit`` of node ``nid`` at ``distance``."""

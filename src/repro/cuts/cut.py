@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..bitdeps.support import popcount
-
 __all__ = ["Cut", "CutSet"]
 
 
@@ -21,9 +19,11 @@ class Cut:
         The cut nodes — non-constant nodes whose values enter the cone from
         outside. The **trivial** cut of v has boundary ``{v}`` and is only a
         merge ingredient, never selectable for v itself (DESIGN.md note 1).
-    masks:
-        Per output bit of ``root``: the global-bit support mask w.r.t. the
-        boundary (see :class:`~repro.bitdeps.SupportCalculator`).
+    support:
+        Per output bit of ``root``: its support size, the number of
+        boundary bits it depends on (0 for a constant bit; see
+        :class:`~repro.bitdeps.SupportCalculator`). At most K bits fit
+        one K-LUT (DESIGN.md note 2).
     kind:
         ``"trivial"``, ``"unit"`` (the standalone-operator cut over direct
         DEP inputs) or ``"merged"`` (grown by Eq. 1).
@@ -41,7 +41,7 @@ class Cut:
 
     root: int
     boundary: frozenset[int]
-    masks: tuple[int, ...]
+    support: tuple[int, ...]
     kind: str = "merged"
     interior: frozenset[int] = field(default_factory=frozenset)
     entries: tuple[tuple[int, int], ...] = ()
@@ -62,16 +62,8 @@ class Cut:
 
     @property
     def max_support(self) -> int:
-        """Largest per-output-bit support size (decides K-feasibility).
-
-        Computed once and cached: masks are immutable, and the pruning
-        passes sort on this repeatedly.
-        """
-        cached = self.__dict__.get("_max_support")
-        if cached is None:
-            cached = max((popcount(m) for m in self.masks), default=0)
-            object.__setattr__(self, "_max_support", cached)
-        return cached
+        """Largest per-output-bit support size (decides K-feasibility)."""
+        return max(self.support, default=0)
 
     @property
     def is_trivial(self) -> bool:

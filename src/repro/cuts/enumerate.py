@@ -27,10 +27,9 @@ import numpy as np
 from ..bitdeps.packed import (
     PackedSupportCalculator,
     Rows,
-    max_popcount,
     max_support_product,
     or_rows,
-    rows_to_ints,
+    popcount_rows,
 )
 from ..errors import CutError
 from ..ir.graph import CDFG
@@ -81,9 +80,10 @@ class CutEnumerator:
     trivial merge choice. A merge takes each other (slot, choice) term
     once and K-filters every combination in one batched popcount
     (:func:`~repro.bitdeps.packed.max_support_product`); only feasible
-    combinations become cuts. The stored ``Cut.masks`` are the same
-    Python-int masks :class:`~repro.bitdeps.SupportCalculator` computes
-    from scratch.
+    combinations become cuts. A cut stores only the popcounts of its
+    rows (``Cut.support``), the support sizes
+    :class:`~repro.bitdeps.SupportCalculator` computes from scratch; its
+    rows stay on it only while it is a merge ingredient.
     """
 
     def __init__(self, graph: CDFG, k: int, max_cuts: int = 12,
@@ -144,8 +144,7 @@ class CutEnumerator:
             if not node.is_boundary:
                 self.stats.nodes_processed += 1
         # The packed rows only matter while cuts are merge ingredients;
-        # downstream consumers read the int masks. Drop the matrices so
-        # the enumerator does not double the mask memory footprint.
+        # downstream consumers read ``support``. Drop the matrices.
         self._leaf_terms.clear()
         for cuts in self._merged.values():
             for cut in cuts:
@@ -159,13 +158,7 @@ class CutEnumerator:
     # ------------------------------------------------------------------
     def _make_trivial(self, nid: int) -> Cut:
         width = self.graph.node(nid).width
-        return Cut(
-            root=nid,
-            boundary=frozenset({nid}),
-            masks=tuple(1 << self._pcalc.global_index(nid, b)
-                        for b in range(width)),
-            kind="trivial",
-        )
+        return Cut(nid, frozenset({nid}), (1,) * width, kind="trivial")
 
     def _make_unit(self, nid: int) -> Cut:
         """The standalone-operator cut: boundary = direct non-const inputs."""
@@ -178,7 +171,7 @@ class CutEnumerator:
                 if graph.node(op.source).kind is not OpKind.CONST
             }
             return Cut(nid, frozenset(p[0] for p in pairs),
-                       tuple([0] * node.width), kind="unit",
+                       (0,) * node.width, kind="unit",
                        entries=tuple(sorted(pairs)))
         # Entries are keyed by operand slot (not source id), which keeps two
         # uses of the same node at different iteration distances distinct;
@@ -188,10 +181,9 @@ class CutEnumerator:
                  for slot in terms}
         rows = or_rows(list(terms.values()), node.width)
         cut = Cut(nid, frozenset(p[0] for p in pairs),
-                  tuple(rows_to_ints(rows)), kind="unit",
+                  tuple(popcount_rows(rows).tolist()), kind="unit",
                   entries=tuple(sorted(pairs)))
         object.__setattr__(cut, "_rows", rows)
-        object.__setattr__(cut, "_max_support", max_popcount(rows))
         return cut
 
     def _leaf_terms_of(self, nid: int) -> dict[int, Rows]:
@@ -294,11 +286,11 @@ class CutEnumerator:
             # whose recomputed logic could be scheduled before its inputs.
             rows = or_rows([slot[i] for slot, i in zip(terms, picks)],
                            node.width)
-            candidate = Cut(nid, boundary, tuple(rows_to_ints(rows)),
+            candidate = Cut(nid, boundary,
+                            tuple(popcount_rows(rows).tolist()),
                             kind="merged", interior=frozenset(interior),
                             entries=entries)
             object.__setattr__(candidate, "_rows", rows)
-            object.__setattr__(candidate, "_max_support", int(supports[flat]))
             seen[entries] = candidate
             new_cuts.append(candidate)
 

@@ -24,8 +24,8 @@ __all__ = ["graph_to_dict", "graph_from_dict", "dumps", "loads",
 
 FORMAT_VERSION = 1
 
-#: v2: cut masks are stored as lists of set-bit indices.
-SCHEDULE_FORMAT_VERSION = 2
+#: v3: a cut stores its per-bit support sizes, not support masks.
+SCHEDULE_FORMAT_VERSION = 3
 
 
 def graph_to_dict(graph: CDFG) -> dict[str, Any]:
@@ -73,12 +73,18 @@ def graph_from_dict(data: dict[str, Any], check: bool = True) -> CDFG:
                 f"node ids must be dense starting at 0; missing {expected}"
             )
         expected += 1
+        operands = entry["operands"]
+        if not isinstance(operands, list) or not all(
+                isinstance(op, (list, tuple)) and len(op) == 2
+                and all(type(x) is int for x in op) for op in operands):
+            raise IRError(f"node {entry['id']}: operands must be a list of "
+                          "[source, distance] pairs of ints")
         node = graph.add_node(
             OpKind(entry["kind"]),
             entry["width"],
-            operands=[Operand(op[0], op[1]) for op in entry["operands"]]
+            operands=[Operand(op[0], op[1]) for op in operands]
             if all(op[1] > 0 or op[0] < entry["id"]
-                   for op in entry["operands"]) else [],
+                   for op in operands) else [],
             name=entry.get("name"),
             value=entry.get("value"),
             amount=entry.get("amount"),
@@ -87,9 +93,9 @@ def graph_from_dict(data: dict[str, Any], check: bool = True) -> CDFG:
             signed=entry.get("signed", False),
             attrs=dict(entry.get("attrs", {})),
         )
-        if not node.operands and entry["operands"]:
+        if not node.operands and operands:
             # second chance below once every node exists
-            node.attrs["_pending_operands"] = entry["operands"]
+            node.attrs["_pending_operands"] = operands
     for node in graph:
         pending = node.attrs.pop("_pending_operands", None)
         if pending is not None:
@@ -103,35 +109,12 @@ def graph_from_dict(data: dict[str, Any], check: bool = True) -> CDFG:
 # ----------------------------------------------------------------------
 # Cover and schedule round-trip (flow-cache support)
 # ----------------------------------------------------------------------
-def _set_bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return bits
-
-
-def _from_bits(bits: list[int]) -> int:
-    mask = 0
-    for bit in bits:
-        mask |= 1 << int(bit)
-    return mask
-
-
 def cut_to_dict(cut) -> dict[str, Any]:
-    """Serialize one :class:`~repro.cuts.cut.Cut` (fully explicit).
-
-    A support mask is numbered in its graph's whole bit space, so its
-    integer value grows with the global index of its top bit (tens of
-    thousands of bits on paper-sized designs) while it has at most a few
-    dozen set bits: each mask is stored as its set-bit indices.
-    """
+    """Serialize one :class:`~repro.cuts.cut.Cut` (fully explicit)."""
     return {
         "root": cut.root,
         "boundary": sorted(cut.boundary),
-        "masks": [_set_bits(m) for m in cut.masks],
+        "support": list(cut.support),
         "kind": cut.kind,
         "interior": sorted(cut.interior),
         "entries": [[nid, dist] for nid, dist in cut.entries],
@@ -145,7 +128,7 @@ def cut_from_dict(data: dict[str, Any]):
     return Cut(
         root=int(data["root"]),
         boundary=frozenset(int(n) for n in data["boundary"]),
-        masks=tuple(_from_bits(bits) for bits in data["masks"]),
+        support=tuple(int(size) for size in data["support"]),
         kind=data.get("kind", "merged"),
         interior=frozenset(int(n) for n in data.get("interior", [])),
         entries=tuple((int(nid), int(dist))

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..bitdeps.support import SupportCalculator
 from ..core.config import SchedulerConfig
 from ..cuts.cut import Cut
 from ..errors import SchedulingError
@@ -130,7 +129,7 @@ def stitch_schedules(graph: CDFG, subs: list[SubgraphExtraction],
         cycle, start = _compose_times(graph, subs, scheds, offsets)
         bumps += 1
 
-    cover = _compose_cover(graph, subs, scheds)
+    cover = _compose_cover(subs, scheds)
 
     info = StitchInfo(offsets=offsets, repair_bumps=bumps)
     _price_boundaries(graph, crossings, cycle, ii, info)
@@ -191,13 +190,11 @@ def _compose_times(graph: CDFG, subs: list[SubgraphExtraction],
     return cycle, start
 
 
-def _compose_cover(graph: CDFG, subs: list[SubgraphExtraction],
+def _compose_cover(subs: list[SubgraphExtraction],
                    scheds: list[Schedule]) -> dict[int, Cut]:
-    full = SupportCalculator(graph)
     cover: dict[int, Cut] = {}
     for i, sub in enumerate(subs):
         remap = sub.to_global
-        local = SupportCalculator(scheds[i].graph)
         for lid, cut in scheds[i].cover.items():
             if lid not in remap:
                 continue  # exposer OUTPUT: no global counterpart
@@ -210,7 +207,7 @@ def _compose_cover(graph: CDFG, subs: list[SubgraphExtraction],
             remapped = Cut(
                 root=gid,
                 boundary=frozenset(remap[b] for b in cut.boundary),
-                masks=_remap_masks(cut, local, full, remap),
+                support=cut.support,
                 kind=cut.kind,
                 interior=frozenset(remap[w] for w in cut.interior),
                 entries=tuple(sorted((remap[u], d)
@@ -224,21 +221,6 @@ def _compose_cover(graph: CDFG, subs: list[SubgraphExtraction],
                 # cover's implicit input roots.
                 cover[gid] = remapped
     return cover
-
-
-def _remap_masks(cut: Cut, local: SupportCalculator,
-                 full: SupportCalculator,
-                 remap: dict[int, int]) -> tuple[int, ...]:
-    """``cut.masks`` renumbered from the subgraph's bit space to the full
-    graph's: every support bit belongs to an entry ``(u, d)``, whose
-    block of ``width(u)`` bits moves to ``(remap[u], d)`` in one shift
-    (the blocks are disjoint, so their sum is their OR)."""
-    blocks = [(local.global_index(u, 0, d), full.global_index(remap[u], 0, d),
-               (1 << local.graph.node(u).width) - 1)
-              for u, d in cut.entries]
-    return tuple(
-        sum(((mask >> src) & ones) << dst for src, dst, ones in blocks)
-        for mask in cut.masks)
 
 
 def _resource_violations(graph: CDFG, cycle: dict[int, int], ii: int,

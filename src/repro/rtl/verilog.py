@@ -90,10 +90,11 @@ class VerilogEmitter:
                 # also pins the context to at least the node's width).
                 m = (1 << src.width) - 1
                 return f"(({inner}) & {src.width}'d{m})"
-            # Neither boundary nor in-cone: the cut's support masks proved
-            # the cone output independent of this operand (e.g. a shift-out
-            # that became constant after narrowing). No wire exists; any
-            # constant preserves the function, so feed zero.
+            # Neither boundary nor in-cone: no output bit of the cone
+            # reads this operand (its DEP term is empty, e.g. a shift-out
+            # that became constant after narrowing), so the enumerator
+            # left it out of the cut. No wire exists; any constant
+            # preserves the function, so feed zero.
             return f"{src.width}'d0"
 
         k = node.kind

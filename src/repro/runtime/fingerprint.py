@@ -35,7 +35,8 @@ __all__ = ["CACHE_SCHEMA_VERSION", "flow_fingerprint", "fingerprint_payload"]
 #: partitioned schedules may carry composed covers older readers never saw).
 #: v3: cut masks are stored as set-bit index lists, and stitched covers
 #: number them in the full graph's bit space.
-CACHE_SCHEMA_VERSION = 3
+#: v4: a cut stores its per-bit support sizes instead of masks.
+CACHE_SCHEMA_VERSION = 4
 
 
 def _device_fields(device: Device) -> dict[str, Any]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-from ..bitdeps.support import popcount
 from ..cuts.cut import Cut
 from ..ir.graph import CDFG
 from ..ir.node import Node
@@ -45,7 +44,7 @@ class AreaModel:
             return 0
         # One K-LUT per output bit that actually computes a function of at
         # least one variable; constant bits are free.
-        return sum(1 for m in cut.masks if popcount(m) >= 1)
+        return sum(1 for size in cut.support if size)
 
     def operator_lut_cost(self, node: Node) -> int:
         """LUT count of ``node`` as a standalone (non-cone) operator."""

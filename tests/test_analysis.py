@@ -603,9 +603,12 @@ class TestLintCli:
         from repro.__main__ import main
 
         bad = tmp_path / "bad.json"
-        bad.write_text("not json {")
-        assert main(["lint", str(bad)]) == 2
-        assert "failed to load" in capsys.readouterr().err
+        malformed_operand = {"format": 1, "nodes": [
+            {"id": 0, "kind": "input", "width": 4, "operands": [[0]]}]}
+        for text in ("not json {", json.dumps(malformed_operand)):
+            bad.write_text(text)
+            assert main(["lint", str(bad)]) == 2
+            assert "failed to load" in capsys.readouterr().err
 
     def test_lint_defaults_to_all_benchmarks(self, capsys):
         from repro.__main__ import main

@@ -15,8 +15,8 @@ from repro.bitdeps import (
 )
 from repro.bitdeps.packed import (
     Rows,
-    max_popcount,
     or_rows,
+    popcount_rows,
     rows_to_ints,
 )
 from repro.designs.synthetic import random_dfg
@@ -425,7 +425,8 @@ class TestPackedTransfer(OpClassSweeps):
             rows = ints_to_rows(shifted)
             assert rows.lo == shift // 64
             assert rows_to_ints(rows) == shifted
-            assert max_popcount(rows) == max(popcount(m) for m in masks)
+            assert popcount_rows(rows).tolist() == [popcount(m)
+                                                    for m in masks]
 
 
 def ints_to_rows(masks):

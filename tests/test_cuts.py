@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.bitdeps import SupportCalculator, dep_bits
+from repro.bitdeps import SupportCalculator, dep_bits, popcount
+from repro.bitdeps.packed import rows_to_ints
 from repro.cuts import Cut, CutEnumerator, enumerate_cuts
 from repro.designs import BENCHMARKS
 from repro.designs.synthetic import random_dfg
@@ -14,22 +15,22 @@ from repro.ir.transforms import narrow_graph
 
 class TestCutObject:
     def test_entries_default_to_distance_zero(self):
-        cut = Cut(root=3, boundary=frozenset({1, 2}), masks=(0b1, 0b10))
+        cut = Cut(root=3, boundary=frozenset({1, 2}), support=(1, 1))
         assert cut.entries == ((1, 0), (2, 0))
         assert cut.entry_distance == {1: 0, 2: 0}
 
     def test_entry_distance_takes_minimum(self):
-        cut = Cut(root=3, boundary=frozenset({1}), masks=(0,),
+        cut = Cut(root=3, boundary=frozenset({1}), support=(0,),
                   entries=((1, 0), (1, 2)))
         assert cut.entry_distance == {1: 0}
 
     def test_feasibility_uses_max_support(self):
-        cut = Cut(root=3, boundary=frozenset({1}), masks=(0b111, 0b1))
+        cut = Cut(root=3, boundary=frozenset({1}), support=(3, 1))
         assert cut.max_support == 3
         assert cut.feasible(3) and not cut.feasible(2)
 
     def test_covers(self):
-        cut = Cut(root=3, boundary=frozenset({1}), masks=(0,),
+        cut = Cut(root=3, boundary=frozenset({1}), support=(0,),
                   interior=frozenset({2}))
         assert cut.covers(3) and cut.covers(2) and not cut.covers(1)
 
@@ -157,6 +158,22 @@ def registered_cut_masks(calc, graph, cut):
     return masks(cut.root)
 
 
+class RowRecordingEnumerator(CutEnumerator):
+    """Keeps each new cut's packed rows, which ``run()`` releases once
+    the cuts stop being merge ingredients."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rows = {}
+
+    def _update_node(self, nid):
+        changed = super()._update_node(nid)
+        for cut in [self._unit[nid], *self._merged[nid]]:
+            if cut is not None and "_rows" in cut.__dict__:
+                self.rows[cut] = cut.__dict__["_rows"]
+        return changed
+
+
 @settings(max_examples=20, deadline=None)
 @given(source=st.integers(min_value=0, max_value=10**6))
 @example(source="GSM")
@@ -165,9 +182,10 @@ def registered_cut_masks(calc, graph, cut):
 @example(source="GFMUL")
 @example(source="MT")
 def test_property_cut_masks_match_recomputed_supports(source):
-    """Every selectable cut's stored masks equal a from-scratch support
-    computation over its boundary (catches merge-composition bugs);
-    cuts with registered entries are recomputed by
+    """Every selectable cut's composed rows equal, bit for bit, a
+    from-scratch support computation over its boundary (catches
+    merge-composition bugs), and its stored ``support`` is their
+    popcounts; cuts with registered entries are recomputed by
     :func:`registered_cut_masks`.
 
     ``source`` is a random-graph seed or, as fixed inputs, a narrowed
@@ -175,10 +193,11 @@ def test_property_cut_masks_match_recomputed_supports(source):
     """
     if isinstance(source, str):
         g, _ = narrow_graph(BENCHMARKS[source].build())
-        cuts = enumerate_cuts(g, k=6, max_cuts=12)
+        enumerator = RowRecordingEnumerator(g, k=6, max_cuts=12)
     else:
         g = random_dfg(source, ops=12, width=4, inputs=3, recurrences=1)
-        cuts = enumerate_cuts(g, k=4, max_cuts=6)
+        enumerator = RowRecordingEnumerator(g, k=4, max_cuts=6)
+    cuts = enumerator.run()
     calc = SupportCalculator(g)
     checked = 0
     for nid, cs in cuts.items():
@@ -188,7 +207,7 @@ def test_property_cut_masks_match_recomputed_supports(source):
         for cut in cs.selectable:
             if cut.interior & cut.boundary:
                 # the cone *recomputes* a boundary node (duplication); its
-                # stored masks describe that implementation, while a
+                # composed rows describe that implementation, while a
                 # from-scratch support stops at the boundary — both valid,
                 # not comparable
                 continue
@@ -199,7 +218,8 @@ def test_property_cut_masks_match_recomputed_supports(source):
                     fresh = calc.supports(nid, cut.boundary)
             except CutError:
                 continue  # black-box root: no DEP to recompute
-            assert tuple(fresh) == cut.masks, (nid, cut)
+            assert rows_to_ints(enumerator.rows[cut]) == fresh, (nid, cut)
+            assert cut.support == tuple(map(popcount, fresh)), (nid, cut)
             checked += 1
     if isinstance(source, str):
         assert checked > 0

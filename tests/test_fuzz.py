@@ -155,8 +155,8 @@ class TestOracles:
 
 
 def _corrupt_cut_failing(graph, stim):
-    """Oracle for the injected fault: schedule, corrupt one cut's masks,
-    and expect the independent verifier to flag it (SCH003)."""
+    """Oracle for the injected fault: schedule, corrupt one cut's support
+    sizes, and expect the independent verifier to flag it (SCH003)."""
     try:
         sched = MapScheduler(graph, XC7, FAST).schedule()
     except ReproError:
@@ -167,7 +167,7 @@ def _corrupt_cut_failing(graph, stim):
         return False
     bad = dataclasses.replace(
         sched.cover[roots[0]], kind="merged",
-        masks=tuple((1 << 40) - 1 for _ in sched.cover[roots[0]].masks))
+        support=(40,) * len(sched.cover[roots[0]].support))
     sched.cover[roots[0]] = bad
     return bool(schedule_problems(sched, XC7))
 

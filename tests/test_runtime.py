@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import SchedulerConfig
 from repro.core.mapsched import MapScheduler
-from repro.designs import BENCHMARKS, random_dfg
+from repro.designs import BENCHMARKS, FULLSIZE, random_dfg
 from repro.errors import (
     AnalysisError,
     ScheduleVerificationError,
@@ -721,7 +721,6 @@ def test_benchmark_names_roundtrip_through_tasks():
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.cuts.cut import Cut  # noqa: E402
 from repro.fuzz import generate_case  # noqa: E402
 from repro.ir.serialize import cut_from_dict, cut_to_dict  # noqa: E402
 
@@ -752,14 +751,16 @@ def test_fuzzed_cuts_roundtrip_exactly(seed):
         assert cut_from_dict(wire) == cut
 
 
-def test_cut_with_high_mask_bits_roundtrips():
-    """Masks are numbered in the whole graph's bit space (bit 16k and up
-    on XORR512), beyond the 4300 decimal digits ``json`` may print."""
-    cut = Cut(root=3, boundary=frozenset({1, 2}),
-              masks=((1 << 20_000) | (1 << 19_999) | 5, 0, 1 << 64),
-              entries=((1, 0), (2, 1)))
-    wire = json.loads(json.dumps(cut_to_dict(cut)))
-    assert cut_from_dict(wire) == cut
+def test_paper_sized_result_roundtrips_through_the_cache(tmp_path):
+    """A paper-sized flow (1024 nodes) is stored and reloaded whole: the
+    warm schedule, cover included, serializes to the same document."""
+    cache = FlowCache(str(tmp_path))
+    cold = run_flow(FULLSIZE["XORR512"].build(), "heur-map", XC7,
+                    cache=cache)
+    warm = run_flow(FULLSIZE["XORR512"].build(), "heur-map", XC7,
+                    cache=cache)
+    assert not cold.cached and warm.cached
+    assert schedule_to_dict(warm.schedule) == schedule_to_dict(cold.schedule)
 
 
 @settings(max_examples=6, deadline=None,

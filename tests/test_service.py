@@ -133,6 +133,9 @@ def test_parse_request_accepts_minimal_design_payload():
      "unknown config field"),
     ({"design": "GSM", "config": {"mip_rel_gap": 0.01}},
      "unknown config field"),
+    ({"graph": {"format": 1, "nodes": [
+        {"id": 0, "kind": "input", "width": 4, "operands": [[0]]}]}},
+     "operands must be"),
 ])
 def test_parse_request_rejects_malformed_payloads(payload, match):
     with pytest.raises(ProtocolError, match=match):

@@ -47,10 +47,6 @@ class BigIntKernel(SupportCalculator):
         return masks
 
 
-def max_popcount(masks):
-    return max(map(popcount, masks), default=0)
-
-
 def dep_slots(graph, node):
     """Operand slots that some output bit of ``node`` reads, ascending."""
     return sorted({entry.slot for j in range(node.width)
@@ -78,10 +74,10 @@ class ReferenceEnumerator(CutEnumerator):
             pairs.add((op.source, op.distance))
             slot_rows[slot] = self._pcalc.leaf_rows(op.source, op.distance)
         rows = self._pcalc.transfer(node, slot_rows)
-        cut = Cut(nid, frozenset(p[0] for p in pairs), tuple(rows),
-                  kind="unit", entries=tuple(sorted(pairs)))
+        cut = Cut(nid, frozenset(p[0] for p in pairs),
+                  tuple(map(popcount, rows)), kind="unit",
+                  entries=tuple(sorted(pairs)))
         object.__setattr__(cut, "_rows", rows)
-        object.__setattr__(cut, "_max_support", max_popcount(rows))
         return cut
 
     def _update_node(self, nid):
@@ -145,13 +141,12 @@ class ReferenceEnumerator(CutEnumerator):
                 continue
             boundary = frozenset(p[0] for p in pairs)
             rows = pcalc.transfer(node, slot_rows)
-            support = max_popcount(rows)
-            if support > self.k:
+            support = tuple(map(popcount, rows))
+            if max(support, default=0) > self.k:
                 continue
-            candidate = Cut(nid, boundary, tuple(rows), kind="merged",
+            candidate = Cut(nid, boundary, support, kind="merged",
                             interior=frozenset(interior), entries=entries)
             object.__setattr__(candidate, "_rows", rows)
-            object.__setattr__(candidate, "_max_support", support)
             seen[entries] = candidate
             new_cuts.append(candidate)
 
@@ -165,7 +160,7 @@ class ReferenceEnumerator(CutEnumerator):
 def canon_cuts(cut_sets):
     """Cut sets as a comparable structure (selection order preserved)."""
     return {
-        root: [(c.kind, tuple(sorted(c.boundary)), c.masks,
+        root: [(c.kind, tuple(sorted(c.boundary)), c.support,
                 tuple(sorted(c.interior)), c.entries, c.max_support)
                for c in cs.selectable]
         for root, cs in cut_sets.items()
