@@ -64,7 +64,7 @@ class Linter:
     options:
         Tuning knobs passed to rules via the context (sampling budgets:
         ``dep_nodes``, ``dep_bit_samples``, ``dep_trials``,
-        ``recurrence_cycle_cap``).
+        ``dep_sat_conflicts``, ``recurrence_cycle_cap``).
     """
 
     def __init__(self, select: Iterable[str] | None = None,

@@ -57,12 +57,37 @@ def graph_to_dict(graph: CDFG) -> dict[str, Any]:
     return {"format": FORMAT_VERSION, "name": graph.name, "nodes": nodes}
 
 
+def _check_entry(entry: Any) -> None:
+    """Raise :class:`IRError` unless ``entry`` has the shape of a node."""
+    if not isinstance(entry, dict):
+        raise IRError("a node entry must be a JSON object, not "
+                      f"{type(entry).__name__}")
+    for key in ("id", "width"):
+        if type(entry.get(key)) is not int:
+            raise IRError(f"node {entry.get('id')!r}: {key} must be an int")
+    operands = entry.get("operands")
+    if not isinstance(operands, list) or not all(
+            isinstance(op, (list, tuple)) and len(op) == 2
+            and all(type(x) is int for x in op) for op in operands):
+        raise IRError(f"node {entry['id']}: operands must be a list of "
+                      "[source, distance] pairs of ints")
+    if not isinstance(entry.get("attrs", {}), dict):
+        raise IRError(f"node {entry['id']}: attrs must be a JSON object")
+
+
 def graph_from_dict(data: dict[str, Any], check: bool = True) -> CDFG:
     """Deserialize; validates structure unless ``check=False``."""
+    if not isinstance(data, dict):
+        raise IRError("a CDFG document must be a JSON object, not "
+                      f"{type(data).__name__}")
     if data.get("format") != FORMAT_VERSION:
         raise IRError(f"unsupported CDFG format {data.get('format')!r}")
     graph = CDFG(data.get("name", "cdfg"))
     entries = data.get("nodes", [])
+    if not isinstance(entries, list):
+        raise IRError("nodes must be a list")
+    for entry in entries:
+        _check_entry(entry)
     # First pass: create nodes in id order with placeholder operands so
     # arbitrary forward references deserialize cleanly.
     by_id = sorted(entries, key=lambda e: e["id"])
@@ -74,11 +99,6 @@ def graph_from_dict(data: dict[str, Any], check: bool = True) -> CDFG:
             )
         expected += 1
         operands = entry["operands"]
-        if not isinstance(operands, list) or not all(
-                isinstance(op, (list, tuple)) and len(op) == 2
-                and all(type(x) is int for x in op) for op in operands):
-            raise IRError(f"node {entry['id']}: operands must be a list of "
-                          "[source, distance] pairs of ints")
         node = graph.add_node(
             OpKind(entry["kind"]),
             entry["width"],

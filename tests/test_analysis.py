@@ -8,8 +8,10 @@ behavior (empty problem lists) on all nine benchmarks.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -24,10 +26,12 @@ from repro.analysis import (
     lint_schedule,
     rule_for,
 )
+from repro.bitdeps.packed import PackedSupportCalculator, Rows
 from repro.core import MapScheduler, SchedulerConfig, schedule_problems
 from repro.designs.registry import BENCHMARKS
 from repro.errors import AnalysisError
 from repro.ir import CDFG, DFGBuilder, OpKind, Operand, check_problems
+from repro.ir.types import COMPARISON_KINDS, OpClass, arity_of, op_class_of
 from repro.milp.model import LinExpr, Model
 from repro.tech.device import TUTORIAL4, XC7
 
@@ -204,14 +208,28 @@ class TestIRRules:
 
 def inject_empty_dep(monkeypatch):
     """Make the cut-sizing DEP kernel say no operand bit is ever read."""
-    import numpy as np
-
-    from repro.bitdeps.packed import PackedSupportCalculator, Rows
-
     monkeypatch.setattr(
         PackedSupportCalculator, "term",
         lambda self, node, slot, rows:
             Rows(np.zeros((node.width, 0), dtype=np.uint64), 0))
+
+
+def inject_one_bit_fault(monkeypatch):
+    """Make DEP drop the lowest set bit of every slot-0 row."""
+    real = PackedSupportCalculator.term
+
+    def term(self, node, slot, rows):
+        out = real(self, node, slot, rows)
+        if slot or out.empty:
+            return out
+        mat = out.mat.copy()
+        rows_hit = np.flatnonzero(mat.any(axis=1))
+        first = (mat[rows_hit] != 0).argmax(axis=1)
+        word = mat[rows_hit, first]
+        mat[rows_hit, first] = word & (word - np.uint64(1))
+        return Rows(mat, out.lo)
+
+    monkeypatch.setattr(PackedSupportCalculator, "term", term)
 
 
 class TestDepSoundness:
@@ -232,12 +250,19 @@ class TestDepSoundness:
         assert "omits operand" in diag.message
 
     def test_dep001_respects_sign_test_refinement(self):
-        # DEP keeps only the MSB of `x >= 0`; the blasted borrow chain
-        # touches every bit structurally — must NOT be reported.
+        # DEP keeps only the MSB of `x >= 0`; the other bits feed the borrow
+        # chain but never the result — must NOT be reported.
         b = DFGBuilder("t", width=6)
         x = b.input("x")
         b.output(x.sge(0), "o")
         assert "DEP001" not in codes_of(lint_graph(b.graph))
+
+    def test_dep001_handles_wide_comparisons(self):
+        # Result bits above bit 0 of a comparison are constant zero: they
+        # are sampled like any other bit and reach no operand bit.
+        b = DFGBuilder("t", width=4)
+        b.output(b.op(OpKind.EQ, b.input("x"), b.input("y"), width=4), "o")
+        assert not lint_graph(b.graph, select=["DEP001"]).diagnostics
 
     def test_dep001_budget_zero_disables(self, monkeypatch):
         b = DFGBuilder("t", width=4)
@@ -247,6 +272,356 @@ class TestDepSoundness:
         inject_empty_dep(monkeypatch)
         report = lint_graph(b.graph, options={"dep_nodes": 0})
         assert "DEP001" not in codes_of(report)
+
+
+def stub_sat_unknown(monkeypatch):
+    """Make every DEP001 SAT call run out of conflicts; returns the calls."""
+    from repro.analysis import dep_rules
+    from repro.analysis.equiv.sat import SatResult
+
+    calls = []
+
+    def unknown(aig, lit, **kwargs):
+        calls.append(lit)
+        return SatResult("unknown")
+
+    monkeypatch.setattr(dep_rules, "solve_lit", unknown)
+    return calls
+
+
+class TestDepSamplingFallback:
+    """DEP001 when every SAT call runs out of conflicts."""
+
+    def test_one_bit_fault_is_still_reported(self, monkeypatch):
+        calls = stub_sat_unknown(monkeypatch)
+        b = DFGBuilder("t", width=4)
+        b.output(b.input("x") ^ b.input("y"), "o")
+        inject_one_bit_fault(monkeypatch)
+        found = lint_graph(b.graph, select=["DEP001"]).diagnostics
+        assert calls and found
+        assert all(d.message.endswith("(sampled witness)") for d in found)
+
+    def test_real_kernel_gives_no_finding(self, monkeypatch, fig1_graph,
+                                          recurrent_graph):
+        stub_sat_unknown(monkeypatch)
+        graphs = [fig1_graph, recurrent_graph] + [
+            BENCHMARKS[name].build() for name in ("GSM", "CLZ", "DR")]
+        for graph in graphs:
+            assert not lint_graph(graph, select=["DEP001"]).diagnostics
+
+    def test_sampled_findings_are_proven_findings(self, monkeypatch,
+                                                  recurrent_graph):
+        # Every output bit is checked, so the fallback's draws cannot move
+        # which bits are sampled: each finding it samples must be one the
+        # SAT tier proves.
+        options = {"dep_bit_samples": 64}
+        inject_empty_dep(monkeypatch)
+        proven = {d.message.replace("exact SAT", "sampled")
+                  for d in lint_graph(recurrent_graph, options=options,
+                                      select=["DEP001"]).diagnostics}
+        stub_sat_unknown(monkeypatch)
+        sampled = {d.message
+                   for d in lint_graph(recurrent_graph, options=options,
+                                       select=["DEP001"]).diagnostics}
+        assert sampled and sampled <= proven
+
+
+# ----------------------------------------------------------------------
+# DEP001 against a bit-blasted reference
+# ----------------------------------------------------------------------
+#
+# The reference below is how DEP001 decided before it encoded each node on
+# its own AIG: rebuild the node in a probe graph, bit-blast it, slice each
+# sampled output bit's cone back to the probe's input bits and decide each
+# suspect by SAT on the sliced cone. The shipped rule must report exactly
+# what it reports, in the same order.
+
+def _probe(graph, node):
+    """Rebuild ``node`` alone in a fresh graph suitable for blasting.
+
+    Returns ``(probe_graph, probe_nid, slot_input_nids)`` where
+    ``slot_input_nids[slot]`` is the probe INPUT standing in for that operand
+    (``None`` for constant operands, which are copied).
+    """
+    b = DFGBuilder(f"dep_probe_{node.nid}", width=node.width)
+    vals = []
+    slot_inputs: list[int | None] = []
+    for slot, op in enumerate(node.operands):
+        src = graph.node(op.source)
+        if src.kind is OpKind.CONST:
+            vals.append(b.const(src.value or 0, src.width))
+            slot_inputs.append(None)
+        else:
+            v = b.input(f"op{slot}", src.width)
+            vals.append(v)
+            slot_inputs.append(v.nid)
+    attrs = {} if node.amount is None else {"amount": node.amount}
+    probe = b.op(node.kind, *vals, width=node.width, **attrs)
+    b.output(probe, "out")
+    return b.graph, probe.nid, slot_inputs
+
+
+def _cone(graph, out_id: int, leaves: set[int]) -> tuple[list[int], set[int]]:
+    """Backward slice from ``out_id`` stopping at ``leaves`` and constants:
+    ``(interior_in_topo_order, reached_leaves)``."""
+    interior: set[int] = set()
+    reached: set[int] = set()
+    stack = [out_id]
+    while stack:
+        nid = stack.pop()
+        if nid in leaves:
+            reached.add(nid)
+            continue
+        if nid in interior:
+            continue
+        node = graph.node(nid)
+        if node.kind is OpKind.CONST:
+            continue
+        interior.add(nid)
+        stack.extend(op.source for op in node.operands)
+    return sorted(interior), reached
+
+
+def _sat_witness(bg, order, reached, fid, out_id, max_conflicts):
+    """Decide whether flipping leaf ``fid`` can flip ``out_id``:
+    ``"sat"``, ``"unsat"`` or ``"unknown"``."""
+    from repro.analysis.equiv.aig import AIG, FALSE, TRUE
+    from repro.analysis.equiv.encode import const_bits, encode_node
+    from repro.analysis.equiv.sat import solve_lit
+
+    aig = AIG()
+    leaf_vars = {leaf: aig.new_input() for leaf in sorted(reached)
+                 if leaf != fid}
+
+    def build(pin: int) -> int:
+        values = {leaf: [var] for leaf, var in leaf_vars.items()}
+        values[fid] = [TRUE if pin else FALSE]
+        for nid in order:
+            node = bg.node(nid)
+            args = []
+            for op in node.operands:
+                src = bg.node(op.source)
+                if op.source in values:
+                    args.append(values[op.source])
+                elif src.kind is OpKind.CONST:
+                    args.append(const_bits(aig, src.value or 0, src.width))
+                else:  # outside the slice: cannot influence the cone
+                    args.append([FALSE] * src.width)
+            values[nid] = encode_node(aig, node, args, [
+                bg.node(op.source).width for op in node.operands])
+        return values[out_id][0]
+
+    lo, hi = build(0), build(1)
+    return solve_lit(aig, aig.xor_(lo, hi),
+                     max_conflicts=max_conflicts).status
+
+
+def _evaluate(graph, order, assignment, out_id) -> int:
+    """Evaluate the cone under a leaf/const assignment: the out bit."""
+    from repro.ir.semantics import eval_node
+
+    values = dict(assignment)
+    for nid in order:
+        node = graph.node(nid)
+        args = []
+        for op in node.operands:
+            src = graph.node(op.source)
+            if op.source in values:
+                args.append(values[op.source])
+            elif src.kind is OpKind.CONST:
+                args.append(src.value or 0)
+            else:  # outside the slice: cannot influence the cone
+                args.append(0)
+        values[nid] = eval_node(node, args, [
+            graph.node(op.source).width for op in node.operands])
+    return values[out_id] & 1
+
+
+def bitblast_dep001(graph, options):
+    """DEP001's findings on ``graph``, decided on bit-blasted probes."""
+    import random
+
+    from repro.analysis.dep_rules import _dep_pairs
+    from repro.bitdeps.bitblast import bit_blast
+    from repro.errors import CutError, IRError
+
+    max_nodes = int(options.get("dep_nodes", 12))
+    max_bits = int(options.get("dep_bit_samples", 4))
+    trials = int(options.get("dep_trials", 4))
+    sat_conflicts = int(options.get("dep_sat_conflicts", 20_000))
+    if max_nodes <= 0:
+        return []
+    candidates = [node for node in graph
+                  if node.is_mappable and node.operands]
+    rng = random.Random(0xD5EED ^ len(graph))
+    if len(candidates) > max_nodes:
+        candidates = rng.sample(candidates, max_nodes)
+        candidates.sort(key=lambda n: n.nid)
+
+    pcalc = PackedSupportCalculator(graph)
+    found = []
+    for node in candidates:
+        try:
+            probe_graph, probe_nid, slot_inputs = _probe(graph, node)
+            blast = bit_blast(probe_graph)
+            dep = _dep_pairs(pcalc, node)
+        except (IRError, CutError):
+            continue  # kind the blaster or DEP does not model
+        leaf_pair: dict[int, tuple[int, int]] = {}
+        for slot, in_nid in enumerate(slot_inputs):
+            if in_nid is None:
+                continue
+            for bidx, fid in enumerate(blast.bit_ids.get(in_nid, [])):
+                if fid is not None:
+                    leaf_pair[fid] = (slot, bidx)
+        bg = blast.graph
+        bit_indices = list(range(node.width))
+        if len(bit_indices) > max_bits:
+            bit_indices = sorted(rng.sample(bit_indices, max_bits))
+        for j in bit_indices:
+            out_id = blast.bit_ids[probe_nid][j]
+            if out_id is None:
+                continue
+            order, reached = _cone(bg, out_id, set(leaf_pair))
+            for fid in sorted(reached):
+                if leaf_pair[fid] in dep[j]:
+                    continue
+                status = _sat_witness(bg, order, reached, fid, out_id,
+                                      sat_conflicts)
+                if status == "unsat":
+                    continue
+                if status == "sat":
+                    how = "exact SAT witness"
+                else:
+                    how = "sampled witness"
+                    for _ in range(trials):
+                        base = {leaf: rng.getrandbits(1) for leaf in reached}
+                        if _evaluate(bg, order, {**base, fid: 0}, out_id) \
+                                != _evaluate(bg, order, {**base, fid: 1},
+                                             out_id):
+                            break
+                    else:
+                        continue
+                slot, bidx = leaf_pair[fid]
+                src = node.operands[slot].source
+                found.append((
+                    f"DEP({node.kind.value} {node.nid}[{j}]) omits operand "
+                    f"{slot} bit {bidx} (node {src}), but flipping that bit "
+                    f"changes the output in the bit-blasted ground truth "
+                    f"({how})",
+                    node.nid, (src, node.nid),
+                    "fix PackedSupportCalculator.term for this kind: "
+                    "an under-approximate DEP silently mis-sizes every "
+                    "cut through it"))
+    return found
+
+
+def shipped_dep001(graph, options):
+    from repro.analysis.dep_rules import dep_soundness
+    from repro.analysis.registry import AnalysisContext
+
+    return [(d.message, d.node, d.edge, d.hint) for d in dep_soundness(
+        AnalysisContext(graph=graph, options=options))]
+
+
+def _variable_shift_graph():
+    """Fourteen 8-bit mappable nodes, two of them the variable shifts
+    DEP001 skips, so that bits are sampled after a skipped node."""
+    b = DFGBuilder("vshift", width=8)
+    x = b.input("x")
+    y = b.input("y")
+    s = b.input("s", 3)
+    v = b.op(OpKind.VSHL, x + y, s, width=8)
+    for _ in range(5):
+        v = (v ^ y) - x
+    b.output(b.op(OpKind.VSHR, v, s, width=8) | x, "o")
+    return b.graph
+
+
+def _parity_graph(name):
+    from repro.fuzz.generate import generate_case
+    from repro.ir.transforms import narrow_graph
+
+    if name == "vshift":
+        return _variable_shift_graph()
+    if name.startswith("fuzz"):
+        return generate_case(int(name[4:])).graph
+    design, _, narrowed = name.partition("-")
+    graph = BENCHMARKS[design].build()
+    return narrow_graph(graph)[0] if narrowed else graph
+
+
+_PARITY_GRAPHS = ["vshift", "GSM", "GSM-narrowed", "CLZ", "CLZ-narrowed",
+                  "DR", "DR-narrowed"] + [f"fuzz{seed}" for seed in range(20)]
+
+
+_CHECKED_KINDS = [
+    kind for kind in OpKind
+    if op_class_of(kind) not in (OpClass.BOUNDARY, OpClass.BLACKBOX)
+    and kind not in (OpKind.VSHL, OpKind.VSHR)]
+
+
+def _one_node_graph(kind, width, consts):
+    """One ``kind`` node over ``width``-bit operands (a MUX select is one
+    bit); ``consts[slot]`` is that operand's constant, or ``None`` for an
+    input."""
+    b = DFGBuilder(f"{kind.value}{width}", width=width)
+    args = []
+    for slot, value in enumerate(consts):
+        w = 1 if kind is OpKind.MUX and slot == 0 else width
+        args.append(b.input(f"in{slot}", w) if value is None
+                    else b.const(value, w))
+    out_width = {OpKind.CONCAT: 2 * width, OpKind.ZEXT: width + 1,
+                 OpKind.TRUNC: max(width - 1, 1),
+                 OpKind.SLICE: max(width - 1, 1)}.get(kind, width)
+    if kind in COMPARISON_KINDS:
+        out_width = 1
+    attrs = {"amount": 1} if kind in (OpKind.SHL, OpKind.SHR,
+                                      OpKind.SLICE) else {}
+    b.output(b.op(kind, *args, width=out_width, **attrs), "o")
+    return b.graph
+
+
+class TestDepBitBlastParity:
+    def test_variable_shifts_stay_unchecked(self, monkeypatch):
+        graph = _variable_shift_graph()
+        assert len([n for n in graph if n.is_mappable]) == 14
+        shifts = {n.nid for n in graph
+                  if n.kind in (OpKind.VSHL, OpKind.VSHR)}
+        inject_empty_dep(monkeypatch)
+        checked = {finding[1] for finding in shipped_dep001(
+            graph, {"dep_nodes": 64, "dep_bit_samples": 1})}
+        assert len(shifts) == 2 and len(checked) == 12
+        assert not checked & shifts
+
+    @pytest.mark.parametrize("name", _PARITY_GRAPHS)
+    @pytest.mark.parametrize("fault", ["real", "empty", "one-bit"])
+    def test_findings_match_reference(self, monkeypatch, name, fault):
+        graph = _parity_graph(name)
+        options = {}
+        if fault == "empty":
+            # Every reached bit is a suspect: one output bit per node keeps
+            # the SAT work of both sides to seconds.
+            options = {"dep_bit_samples": 1}
+            inject_empty_dep(monkeypatch)
+        elif fault == "one-bit":
+            inject_one_bit_fault(monkeypatch)
+        expected = bitblast_dep001(graph, options)
+        assert shipped_dep001(graph, options) == expected
+        assert bool(expected) == (fault != "real")
+
+    @pytest.mark.parametrize("kind", _CHECKED_KINDS, ids=lambda k: k.value)
+    def test_every_checked_kind_matches_reference(self, monkeypatch, kind):
+        inject_one_bit_fault(monkeypatch)
+        reported = 0
+        for width in range(1, 6):
+            for consts in itertools.product((None, 0, 0b10110),
+                                            repeat=arity_of(kind)):
+                graph = _one_node_graph(kind, width, consts)
+                expected = bitblast_dep001(graph, {})
+                assert shipped_dep001(graph, {}) == expected, (width, consts)
+                reported += len(expected)
+        assert reported
 
 
 # ----------------------------------------------------------------------
@@ -603,10 +978,15 @@ class TestLintCli:
         from repro.__main__ import main
 
         bad = tmp_path / "bad.json"
-        malformed_operand = {"format": 1, "nodes": [
-            {"id": 0, "kind": "input", "width": 4, "operands": [[0]]}]}
-        for text in ("not json {", json.dumps(malformed_operand)):
-            bad.write_text(text)
+
+        def one_input(**fields):
+            node = {"id": 0, "kind": "input", "width": 4, "operands": []}
+            return {"format": 1, "nodes": [{**node, **fields}]}
+
+        for doc in ("not json {", one_input(operands=[[0]]), [1],
+                    {"format": 1, "nodes": [5]}, one_input(width="4"),
+                    one_input(attrs=5)):
+            bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             assert main(["lint", str(bad)]) == 2
             assert "failed to load" in capsys.readouterr().err
 

@@ -362,8 +362,7 @@ class TestParserAndLint:
 
 class TestDepSatTier:
     def test_sat_tier_prunes_false_suspects(self, recurrent_graph):
-        report = lint_graph(recurrent_graph,
-                            options={"dep_sat_nodes": 10_000})
+        report = lint_graph(recurrent_graph)
         assert "DEP001" not in {d.code for d in report.diagnostics}
 
     def test_tiny_conflict_budget_does_not_crash(self, fig1_graph):

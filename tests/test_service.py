@@ -136,6 +136,15 @@ def test_parse_request_accepts_minimal_design_payload():
     ({"graph": {"format": 1, "nodes": [
         {"id": 0, "kind": "input", "width": 4, "operands": [[0]]}]}},
      "operands must be"),
+    ({"graph": [1]}, "document must be a JSON object"),
+    ({"graph": {"format": 1, "nodes": [5]}}, "node entry must be"),
+    ({"graph": {"format": 1, "nodes": [
+        {"id": 0, "kind": "input", "width": True, "operands": []}]}},
+     "width must be an int"),
+    ({"graph": {"format": 1, "nodes": [
+        {"id": 0, "kind": "input", "width": 4, "operands": [],
+         "attrs": 5}]}},
+     "attrs must be"),
 ])
 def test_parse_request_rejects_malformed_payloads(payload, match):
     with pytest.raises(ProtocolError, match=match):
