@@ -124,8 +124,8 @@ def _pinned_cone(aig: AIG, out: int, leaves: list[int],
 
 
 @register("DEP001", "dep-underapproximation", "cdfg", Severity.ERROR,
-          "Word-level DEP misses a bit-level dependence proven by the "
-          "bit-blasted ground truth.", gate=GATE_ACYCLIC)
+          "Word-level DEP misses a bit-level dependence proven on the "
+          "node's own and-inverter graph.", gate=GATE_ACYCLIC)
 def dep_soundness(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     graph = ctx.graph
     opts = ctx.options
@@ -180,7 +180,7 @@ def dep_soundness(ctx: AnalysisContext) -> Iterator[Diagnostic]:
                 yield finding(
                     f"DEP({node.kind.value} {node.nid}[{j}]) omits operand "
                     f"{slot} bit {bidx} (node {src}), but flipping that bit "
-                    f"changes the output in the bit-blasted ground truth "
+                    f"changes the output of the node's and-inverter graph "
                     f"({how})",
                     node=node.nid,
                     edge=(src, node.nid),

@@ -7,10 +7,12 @@ depends on, as ``(operand_slot, bit_index)`` pairs:
 * shifts (constant amount) — a single re-indexed bit;
 * arithmetic — a bit range (carry chains) or, for comparisons, every bit of
   both inputs;
-* a **sign-test refinement**: comparisons of a signed value against the
-  constant 0 depend only on the sign bit. This is exactly the "B >= 0 is
-  testing whether the most significant bit is zero" observation the paper
-  makes for node C of Figure 2.
+* a **sign-test refinement**: a signed value compared against the
+  constant 0 as ``x < 0`` or ``x >= 0`` (the zero is operand 1) depends
+  only on its sign bit. This is exactly the "B >= 0 is testing whether
+  the most significant bit is zero" observation the paper makes for node C
+  of Figure 2. The mirrored ``0 < x`` and ``0 >= x`` also ask whether x is
+  zero, so they read every bit of x.
 
 Bits that fall outside an operand (shifted-in zeros, zero-extension) simply
 produce no entries. Constants produce no entries either: a LUT absorbs
@@ -109,11 +111,9 @@ def dep_bits(graph: CDFG, node: Node, j: int) -> list[DepEntry]:
     if kind is OpKind.NEG:
         return _range_entries(0, 0, j, widths[0])
     if kind in (OpKind.SLT, OpKind.SGE):
-        # Sign test against constant zero: only the sign bit matters.
+        # Sign test ``x < 0`` / ``x >= 0``: only the sign bit matters.
         if _is_const_zero(graph, node, 1):
             return [DepEntry(0, widths[0] - 1)]
-        if _is_const_zero(graph, node, 0):
-            return [DepEntry(1, widths[1] - 1)]
         return _all_bits(0, widths[0]) + _all_bits(1, widths[1])
     if kind in (OpKind.EQ, OpKind.NE, OpKind.LT, OpKind.GE):
         # Unsigned compare against zero still reads every bit (OR-reduction),

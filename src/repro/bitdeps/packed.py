@@ -14,7 +14,7 @@ handful of whole-matrix ufunc calls per op class:
 * ADD/SUB/NEG — a prefix-OR (``np.bitwise_or.accumulate``) indexed by
   ``min(j, w-1)``, the carry-chain ranges of Sec. 3.1 in one shot;
 * comparisons — an OR-reduction broadcast to every output bit, with the
-  sign-test-against-constant-zero refinement preserved bit for bit;
+  sign-test refinement of ``x < 0`` / ``x >= 0`` preserved bit for bit;
 * VSHL/VSHR — prefix/suffix OR of the data operand plus the reduced amount
   operand.
 
@@ -305,12 +305,10 @@ class PackedSupportCalculator:
         if kind is OpKind.VSHR and slot == 0:
             suffix = np.bitwise_or.accumulate(m[::-1], axis=0)[::-1]
             return moved(0, 0, min(W, w), suffix)
-        if kind in (OpKind.SLT, OpKind.SGE):
-            # Sign test against constant zero: only the other operand's
-            # sign bit matters (slot 1 is checked first, as in dep_bits).
-            zero = [s for s in (1, 0) if _is_const_zero(self.graph, node, s)]
-            if zero:
-                return _no_support(W) if slot == zero[0] else every(m[w - 1])
+        if kind in (OpKind.SLT, OpKind.SGE) \
+                and _is_const_zero(self.graph, node, 1):
+            # Sign test ``x < 0`` / ``x >= 0``: only x's sign bit matters.
+            return _no_support(W) if slot == 1 else every(m[w - 1])
         if kind in (OpKind.SLT, OpKind.SGE, OpKind.EQ, OpKind.NE, OpKind.LT,
                     OpKind.GE, OpKind.VSHL, OpKind.VSHR):
             return every(np.bitwise_or.reduce(m, axis=0))

@@ -79,9 +79,11 @@ class CutEnumerator:
     non-empty, the unit cut is their OR, and they are the terms of every
     trivial merge choice. A merge takes each other (slot, choice) term
     once and K-filters every combination in one batched popcount
-    (:func:`~repro.bitdeps.packed.max_support_product`); only feasible
-    combinations become cuts. A cut stores only the popcounts of its
-    rows (``Cut.support``), the support sizes
+    (:func:`~repro.bitdeps.packed.max_support_product`). The feasible
+    combinations are deduplicated on their entry sets and pruned with
+    the node's merged cuts on boundary and max support alone; only the
+    survivors become cuts with rows. A cut stores only the popcounts of
+    its rows (``Cut.support``), the support sizes
     :class:`~repro.bitdeps.SupportCalculator` computes from scratch; its
     rows stay on it only while it is a merge ingredient.
     """
@@ -235,8 +237,8 @@ class CutEnumerator:
                 unit = self._unit[op.source]
                 if unit is not None and unit.feasible(self.k):
                     choices.append((slot, unit, 0))
-                choices.extend((slot, c, 0) for c in self._merged[op.source]
-                               if c.feasible(self.k))
+                # Merged cuts are K-feasible by construction.
+                choices.extend((slot, c, 0) for c in self._merged[op.source])
             choice_lists.append(choices)
 
         total = 1
@@ -249,10 +251,8 @@ class CutEnumerator:
 
         # A combination's rows are the OR of its choices' slot terms: take
         # each choice's term once (a trivial choice's is the slot's leaf
-        # term), every combination's support in one batched popcount, and
-        # build only the K-feasible ones, in itertools.product order. An
-        # over-K combination never entered ``seen``, so skipping it first
-        # keeps the same cuts.
+        # term) and every combination's max support in one batched
+        # popcount, in itertools.product order.
         terms = [[leaf[slot] if cut.is_trivial
                   else self._pcalc.term(node, slot, cut.__dict__["_rows"])
                   for slot, cut, _ in choices]
@@ -260,58 +260,87 @@ class CutEnumerator:
         supports = max_support_product(terms)
         self.stats.candidates_generated += len(supports)
 
-        seen: dict[tuple, Cut] = {c.entries: c for c in self._merged[nid]}
-        new_cuts: list[Cut] = list(self._merged[nid])
+        # Decide each K-feasible combination on its entries (the union of
+        # its choices' entries; a trivial choice enters at its edge
+        # distance) and max support alone. The first combination in
+        # product order to reach an entry set stands for it; the node's
+        # merged cuts have reached theirs already.
+        entry_sets = [[frozenset({(cut.root, dist)}) if cut.is_trivial
+                       else frozenset(cut.entries)
+                       for _, cut, dist in choices]
+                      for choices in choice_lists]
+        merged = self._merged[nid]
+        seen = {frozenset(c.entries) for c in merged}
+        pool: list[tuple[frozenset[int], int, object]] = [
+            (c.boundary, c.max_support, c) for c in merged]
+        feasible = np.flatnonzero(supports <= self.k)
         shape = [len(choices) for choices in choice_lists]
-        for flat in np.flatnonzero(supports <= self.k).tolist():
-            picks = np.unravel_index(flat, shape)
-            combo = [choices[i] for choices, i in zip(choice_lists, picks)]
-            pairs: set[tuple[int, int]] = set()
-            interior: set[int] = set()
-            for _, cut, edge_dist in combo:
-                if cut.is_trivial:
-                    pairs.add((cut.root, edge_dist))
-                else:
-                    pairs.update(cut.entries)
-                    interior.add(cut.root)
-                    interior.update(cut.interior)
-            entries = tuple(sorted(pairs))
+        # A node with no DEP input (say, TRUNC of a constant) has one
+        # combination, the empty pick, which np.unravel_index rejects.
+        picks = (zip(*[p.tolist() for p in np.unravel_index(feasible, shape)])
+                 if shape else [()] * len(feasible))
+        for picked, support in zip(picks, supports[feasible].tolist()):
+            entries = frozenset().union(
+                *map(list.__getitem__, entry_sets, picked))
             if entries in seen:
                 continue
-            boundary = frozenset(p[0] for p in pairs)
-            # A node may be absorbed through one operand *and* enter as a
-            # (typically registered) boundary value through another; it then
-            # appears in both interior and boundary, keeping its co-timing
-            # obligation. Subtracting the boundary here once created covers
-            # whose recomputed logic could be scheduled before its inputs.
-            rows = or_rows([slot[i] for slot, i in zip(terms, picks)],
-                           node.width)
-            candidate = Cut(nid, boundary,
-                            tuple(popcount_rows(rows).tolist()),
-                            kind="merged", interior=frozenset(interior),
-                            entries=entries)
-            object.__setattr__(candidate, "_rows", rows)
-            seen[entries] = candidate
-            new_cuts.append(candidate)
+            seen.add(entries)
+            pool.append((frozenset([p for p, _ in entries]), support,
+                         (picked, entries)))
 
-        new_cuts = self._prune(new_cuts)
-        if {c.entries for c in new_cuts} != {c.entries for c in self._merged[nid]}:
-            self._merged[nid] = new_cuts
-            changed = True
-        return changed
+        kept = _prune(pool, self.max_cuts)
+        if len(kept) == len(merged) and all(isinstance(c, Cut) for c in kept):
+            return changed  # the same cuts survived
+        self._merged[nid] = [
+            item if isinstance(item, Cut)
+            else self._merged_cut(nid, choice_lists, terms, *item)
+            for item in kept]
+        return True
 
-    def _prune(self, cuts: list[Cut]) -> list[Cut]:
-        """Drop dominated cuts, then cap (small support / boundary first)."""
-        cuts = sorted(cuts, key=lambda c: (len(c.boundary), c.max_support,
-                                           tuple(sorted(c.boundary))))
-        kept: list[Cut] = []
-        for cut in cuts:
-            if any(k.boundary <= cut.boundary for k in kept):
-                continue
-            kept.append(cut)
-        kept.sort(key=lambda c: (c.max_support, len(c.boundary),
-                                 tuple(sorted(c.boundary))))
-        return kept[: self.max_cuts]
+    def _merged_cut(self, nid: int,
+                    choice_lists: list[list[tuple[int, Cut, int]]],
+                    terms: list[list[Rows]], picked: tuple[int, ...],
+                    entries: frozenset[tuple[int, int]]) -> Cut:
+        """The cut of the combination that picks ``picked[i]`` from slot
+        ``i``, with its packed rows."""
+        interior: set[int] = set()
+        for choices, i in zip(choice_lists, picked):
+            cut = choices[i][1]
+            if not cut.is_trivial:
+                interior.add(cut.root)
+                interior.update(cut.interior)
+        # A node may be absorbed through one operand *and* enter as a
+        # (typically registered) boundary value through another; it then
+        # appears in both interior and boundary, keeping its co-timing
+        # obligation. Subtracting the boundary here once created covers
+        # whose recomputed logic could be scheduled before its inputs.
+        rows = or_rows([slot[i] for slot, i in zip(terms, picked)],
+                       self.graph.node(nid).width)
+        cut = Cut(nid, frozenset([p for p, _ in entries]),
+                  tuple(popcount_rows(rows).tolist()), kind="merged",
+                  interior=frozenset(interior), entries=tuple(sorted(entries)))
+        object.__setattr__(cut, "_rows", rows)
+        return cut
+
+
+def _prune(pool: list[tuple[frozenset[int], int, object]],
+           max_cuts: int) -> list[object]:
+    """Drop dominated candidates, then cap (small support / boundary
+    first); ``pool`` holds ``(boundary, max_support, item)`` and ties keep
+    its order. Returns the surviving items."""
+    # A candidate's index (then its rank) ends each key, so ties compare
+    # no further and keep their order.
+    ranked = sorted((len(b), s, tuple(sorted(b)), i, b)
+                    for i, (b, s, _) in enumerate(pool))
+    kept: list[tuple[int, int, tuple[int, ...], int, int]] = []
+    bounds: list[frozenset[int]] = []
+    for size, support, ordered, i, boundary in ranked:
+        if any(map(boundary.issuperset, bounds)):
+            continue
+        bounds.append(boundary)
+        kept.append((support, size, ordered, len(kept), i))
+    kept.sort()
+    return [pool[k[4]][2] for k in kept[:max_cuts]]
 
 
 def enumerate_cuts(graph: CDFG, k: int, max_cuts: int = 12,

@@ -73,6 +73,9 @@ def _check_entry(entry: Any) -> None:
                       "[source, distance] pairs of ints")
     if not isinstance(entry.get("attrs", {}), dict):
         raise IRError(f"node {entry['id']}: attrs must be a JSON object")
+    for key in ("amount", "value"):
+        if entry.get(key) is not None and type(entry[key]) is not int:
+            raise IRError(f"node {entry['id']}: {key} must be an int")
 
 
 def graph_from_dict(data: dict[str, Any], check: bool = True) -> CDFG:

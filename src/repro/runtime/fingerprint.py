@@ -36,7 +36,9 @@ __all__ = ["CACHE_SCHEMA_VERSION", "flow_fingerprint", "fingerprint_payload"]
 #: v3: cut masks are stored as set-bit index lists, and stitched covers
 #: number them in the full graph's bit space.
 #: v4: a cut stores its per-bit support sizes instead of masks.
-CACHE_SCHEMA_VERSION = 4
+#: v5: DEP reads every bit of x in ``0 < x`` and ``0 >= x`` (signed), so
+#: a v4 result may hold an undersized cut through such a node.
+CACHE_SCHEMA_VERSION = 5
 
 
 def _device_fields(device: Device) -> dict[str, Any]:

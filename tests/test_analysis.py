@@ -507,7 +507,7 @@ def bitblast_dep001(graph, options):
                 found.append((
                     f"DEP({node.kind.value} {node.nid}[{j}]) omits operand "
                     f"{slot} bit {bidx} (node {src}), but flipping that bit "
-                    f"changes the output in the bit-blasted ground truth "
+                    f"changes the output of the node's and-inverter graph "
                     f"({how})",
                     node.nid, (src, node.nid),
                     "fix PackedSupportCalculator.term for this kind: "
@@ -622,6 +622,19 @@ class TestDepBitBlastParity:
                 assert shipped_dep001(graph, {}) == expected, (width, consts)
                 reported += len(expected)
         assert reported
+
+    @pytest.mark.parametrize("kind", _CHECKED_KINDS, ids=lambda k: k.value)
+    def test_real_dep_is_sound_on_one_node_graphs(self, kind):
+        """The shipped ``term`` against the node's own AIG, every output
+        bit checked: no DEP001 on any mix of input and constant operands
+        (0, all-ones or mixed), in every operand order."""
+        options = {"dep_nodes": 64, "dep_bit_samples": 64}
+        for width in range(1, 7):
+            ones = (1 << width) - 1
+            for consts in itertools.product((None, 0, ones, 0b10110 & ones),
+                                            repeat=arity_of(kind)):
+                graph = _one_node_graph(kind, width, consts)
+                assert shipped_dep001(graph, options) == [], (width, consts)
 
 
 # ----------------------------------------------------------------------
@@ -983,9 +996,17 @@ class TestLintCli:
             node = {"id": 0, "kind": "input", "width": 4, "operands": []}
             return {"format": 1, "nodes": [{**node, **fields}]}
 
+        def shift(amount):
+            doc = one_input()
+            doc["nodes"].append({"id": 1, "kind": "shl", "width": 4,
+                                 "operands": [[0, 0]], "amount": amount})
+            return doc
+
         for doc in ("not json {", one_input(operands=[[0]]), [1],
                     {"format": 1, "nodes": [5]}, one_input(width="4"),
-                    one_input(attrs=5)):
+                    one_input(attrs=5), shift("3"),
+                    one_input(kind="const", value="5"),
+                    one_input(kind="const", value=5.5), shift(True)):
             bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             assert main(["lint", str(bad)]) == 2
             assert "failed to load" in capsys.readouterr().err

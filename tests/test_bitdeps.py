@@ -80,12 +80,16 @@ class TestDepFunctions:
         assert deps == [(0, 3)]  # only the MSB of a
 
     def test_sign_test_refinement_symmetric(self):
+        # The mirrored 0 < a (and 0 >= a) asks whether a is zero too, so
+        # it is no sign test: it reads every bit of a.
         b = build()
         a = b.input("a")
         zero = b.const(0)
-        v = b.op(OpKind.SLT, zero, a, width=1).node
-        deps = [(d.slot, d.bit) for d in dep_bits(b.graph, v, 0)]
-        assert deps == [(1, 3)]
+        for kind in (OpKind.SLT, OpKind.SGE):
+            v = b.op(kind, zero, a, width=1).node
+            deps = [(d.slot, d.bit) for d in dep_bits(b.graph, v, 0)
+                    if d.slot == 1]
+            assert deps == [(1, 0), (1, 1), (1, 2), (1, 3)]
 
     def test_general_compare_reads_everything(self):
         b = build()

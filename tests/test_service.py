@@ -145,6 +145,15 @@ def test_parse_request_accepts_minimal_design_payload():
         {"id": 0, "kind": "input", "width": 4, "operands": [],
          "attrs": 5}]}},
      "attrs must be"),
+    ({"graph": {"format": 1, "nodes": [
+        {"id": 0, "kind": "input", "width": 4, "operands": []},
+        {"id": 1, "kind": "shl", "width": 4, "operands": [[0, 0]],
+         "amount": True}]}},
+     "amount must be an int"),
+    ({"graph": {"format": 1, "nodes": [
+        {"id": 0, "kind": "const", "width": 4, "operands": [],
+         "value": 5.5}]}},
+     "value must be an int"),
 ])
 def test_parse_request_rejects_malformed_payloads(payload, match):
     with pytest.raises(ProtocolError, match=match):

@@ -1,16 +1,22 @@
 """Batched packed cut enumeration vs the per-combination big-int reference.
 
-The cut enumerator transfers each merge choice once on packed uint64 rows
-and K-filters every combination in one batched popcount
-(:func:`~repro.bitdeps.packed.max_support_product`). The loop it replaced
--- one full DEP transfer and one popcount per combination -- lives on here
-as :class:`ReferenceEnumerator`, over the scalar kernel that composed
+The cut enumerator transfers each merge choice once on packed uint64 rows,
+K-filters every combination in one batched popcount
+(:func:`~repro.bitdeps.packed.max_support_product`) and prunes the
+combinations on their entry sets and max supports before it builds a
+single cut. The loop it replaced -- one full DEP transfer, one popcount
+and one :class:`Cut` per combination, pruned as cuts -- lives on here as
+:class:`ReferenceEnumerator`, over the scalar kernel that composed
 supports as Python-int masks walked bit by bit, with its own walk of
 ``dep_bits`` for the DEP input slots. Both must agree exactly on every
-cut, in order, and on the enumeration counters.
+cut, in order, and on the enumeration counters; a digest recorded before
+the prune moved ahead of the cuts pins both on the nine designs.
 """
 
+import dataclasses
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -156,6 +162,19 @@ class ReferenceEnumerator(CutEnumerator):
             changed = True
         return changed
 
+    def _prune(self, cuts):
+        """Drop dominated cuts, then cap (small support / boundary first)."""
+        cuts = sorted(cuts, key=lambda c: (len(c.boundary), c.max_support,
+                                           tuple(sorted(c.boundary))))
+        kept = []
+        for cut in cuts:
+            if any(k.boundary <= cut.boundary for k in kept):
+                continue
+            kept.append(cut)
+        kept.sort(key=lambda c: (c.max_support, len(c.boundary),
+                                 tuple(sorted(c.boundary))))
+        return kept[: self.max_cuts]
+
 
 def canon_cuts(cut_sets):
     """Cut sets as a comparable structure (selection order preserved)."""
@@ -186,7 +205,7 @@ def narrowed(name):
     return narrow_graph(BENCHMARKS[name].build())[0]
 
 
-DESIGNS = ["GSM", "DR", "CLZ", "GFMUL", "MT"]
+DESIGNS = ["GSM", "DR", "CLZ", "GFMUL", "MT", "XORR", "AES", "RS", "CORDIC"]
 
 
 class TestCutEnumerationParity:
@@ -207,6 +226,28 @@ class TestCutEnumerationParity:
     def test_random_graphs_with_recurrences(self, seed):
         graph = random_dfg(seed, ops=14, width=6, inputs=3, recurrences=2)
         assert_matches_reference(graph, k=4, max_cuts=6)
+
+
+# SHA-256 of every cut set and EnumerationStats field below, recorded with
+# the per-combination Cut construction and Cut-based prune.
+ENUMERATION_DIGEST = (
+    "d11331110bcb828b9e0f62f71f790dfbaaef203d0db4a1f1c27af33b43d92662")
+
+
+def test_enumeration_matches_recorded_digest():
+    """The nine designs, original and narrowed, at K 4/6 and max_cuts
+    0/4/12: cut sets, their order and every counter stay byte-identical."""
+    digest = hashlib.sha256()
+    for name in BENCHMARKS:
+        original = BENCHMARKS[name].build()
+        for graph in (original, narrow_graph(original)[0]):
+            for k, max_cuts in itertools.product((4, 6), (0, 4, 12)):
+                enumerator = CutEnumerator(graph, k, max_cuts)
+                cuts = canon_cuts(enumerator.run())
+                digest.update(json.dumps(
+                    [name, k, max_cuts, cuts,
+                     dataclasses.asdict(enumerator.stats)]).encode())
+    assert digest.hexdigest() == ENUMERATION_DIGEST
 
 
 def test_cuts_kept_counts_the_final_merged_cuts():
