@@ -527,6 +527,7 @@ def _cmd_schedule(args) -> int:
 def _cmd_equiv(args) -> int:
     """Validate flow stages symbolically; exit 1 on any refuted stage."""
     from .analysis.equiv import EQUIV_SCHEMA, EquivBudget, validate_flow
+    from .errors import AnalysisError
     from .experiments import run_flow
     from .runtime import FlowCache
 
@@ -537,13 +538,14 @@ def _cmd_equiv(args) -> int:
               file=sys.stderr)
         return 2
 
-    budget = EquivBudget()
-    if args.frames is not None:
-        budget.max_frames = args.frames
-    if args.induction_k is not None:
-        budget.induction_k = args.induction_k
-    if args.sat_conflicts is not None:
-        budget.sat_conflicts = args.sat_conflicts
+    limits = {"max_frames": args.frames, "induction_k": args.induction_k,
+              "sat_conflicts": args.sat_conflicts}
+    try:
+        budget = EquivBudget(**{name: value for name, value in limits.items()
+                                if value is not None})
+    except AnalysisError as exc:
+        print(f"repro equiv: {exc}", file=sys.stderr)
+        return 2
     stages = tuple(args.stage) or None
     cache = FlowCache(args.cache_dir) if args.cache_dir else None
 

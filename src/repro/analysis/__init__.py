@@ -36,7 +36,6 @@ from . import ir_rules as _ir_rules  # noqa: F401,E402
 from . import milp_rules as _milp_rules  # noqa: F401,E402
 from . import schedule_rules as _schedule_rules  # noqa: F401,E402
 from .dataflow import rules as _dataflow_rules  # noqa: F401,E402
-from .equiv import rules as _equiv_rules  # noqa: F401,E402
 
 from .linter import Linter, lint_graph, lint_model, lint_schedule  # noqa: E402
 

@@ -5,16 +5,15 @@ replay, Verilog emission — is re-modeled as a *machine* (an iteration-
 indexed transition system over an and-inverter graph) and checked
 against the reference CDFG semantics with a miter: shared symbolic
 inputs, XOR-ed outputs, and a proof that the difference is unsatisfiable
-(structural hashing, random simulation, CDCL SAT, bounded BDDs — in that
-order). Loop-carried state is handled by bounded model checking from the
+(structural hashing, random simulation, then CDCL SAT under a conflict
+budget). Loop-carried state is handled by bounded model checking from the
 declared initial values plus k-induction over a free history window.
 
-Entry points:
-
-* :func:`validate_flow` — prove (or refute) every stage of one flow run;
-* :class:`EquivBudget` — frame counts and solver budgets;
-* ``repro equiv DESIGN`` — the CLI; ``EQ001``–``EQ006`` — the lint rules
-  (opt-in via the ``equiv`` linter option).
+:func:`validate_flow` is the one entry point: it proves (or refutes)
+every stage of one flow run, under an :class:`EquivBudget` of BMC
+frames, induction depth and SAT conflicts. ``run_flow(validate=...)``,
+``repro equiv``, ``repro schedule --validate`` and the fuzz ``equiv``
+oracle all call it.
 
 See ``docs/equivalence.md`` for the design and its soundness caveats.
 """

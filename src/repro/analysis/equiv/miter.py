@@ -29,9 +29,9 @@ Two modes share all of the encoding:
     reported as a counterexample.
 
 Each goal is discharged cheapest-first: structural (the miter literal
-collapsed to FALSE), 64-way random simulation (assumption-aware), CDCL
-SAT under a conflict budget, then a bounded BDD when the cone support is
-small.
+collapsed to FALSE), 64-way random simulation (assumption-aware), then
+CDCL SAT under a conflict budget. A goal whose SAT call exhausts the
+budget stays ``unknown``.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
+from ...errors import AnalysisError
 from ...ir.graph import CDFG
 from .aig import AIG, FALSE, lit_not
-from .bdd import check_lit_bdd
 from .encode import BitVec, adjust, bits_to_int, const_bits
 from .machines import FrameContext, MachineError, StateElem
 from .sat import solve_lit
@@ -50,18 +50,35 @@ from .sat import solve_lit
 __all__ = ["EquivBudget", "Goal", "PairInstance", "PairOutcome",
            "Invariant", "decode_stream"]
 
+#: Rounds of 64 random patterns per goal set.
+_SIM_ROUNDS = 8
 
-@dataclass
+
+@dataclass(frozen=True)
 class EquivBudget:
-    """Resource caps for one stage check (see ``docs/equivalence.md``)."""
+    """Resource caps for one stage check (see ``docs/equivalence.md``).
+
+    A budget that could prove nothing is rejected with
+    :class:`~repro.errors.AnalysisError`: no BMC frame, a negative
+    induction depth or conflict budget, or a field that is not an int.
+    """
 
     max_frames: int = 6          # BMC depth (iterations of the reference)
     induction_k: int = 2         # deepest induction window to try
     sat_conflicts: int = 30_000  # CDCL conflicts per miter
-    bdd_nodes: int = 100_000     # BDD fallback node cap
-    bdd_support: int = 40        # only fall back when support is this small
-    sim_rounds: int = 8          # rounds of 64 random patterns per goal set
-    max_aig_nodes: int = 2_000_000
+
+    def __post_init__(self) -> None:
+        for name, least in (("max_frames", 1), ("induction_k", 0),
+                            ("sat_conflicts", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise AnalysisError(
+                    f"equivalence budget {name} must be an int, "
+                    f"not {value!r}")
+            if value < least:
+                raise AnalysisError(
+                    f"equivalence budget {name} must be at least {least}, "
+                    f"not {value}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +105,7 @@ class Goal:
     name: str | None = None      # output name / state key / effect key
     # Discharge results:
     status: str = "open"         # "unsat" | "sat" | "unknown"
-    method: str | None = None    # "structural" | "sim" | "sat" | "bdd"
+    method: str | None = None    # "structural" | "sim" | "sat"
     conflicts: int = 0
     model: dict[int, bool] | None = None
 
@@ -428,7 +445,7 @@ class PairInstance:
         fixed = self._sim_fixed_bits()
         lits = [g.lit for g in goals]
         assume = list(self.assumptions)
-        for _ in range(self.budget.sim_rounds):
+        for _ in range(_SIM_ROUNDS):
             assignment = {
                 v: fixed[v] if v in fixed else self.rng.getrandbits(64)
                 for v in self.aig.inputs}
@@ -460,26 +477,9 @@ class PairInstance:
     def _discharge_one(self, goal: Goal) -> None:
         result = solve_lit(self.aig, goal.lit, assumptions=self.assumptions,
                            max_conflicts=self.budget.sat_conflicts)
+        goal.status, goal.method = result.status, "sat"
         goal.conflicts = result.conflicts
-        if result.status == "sat":
-            goal.status, goal.method = "sat", "sat"
-            goal.model = result.model
-            return
-        if result.status == "unsat":
-            goal.status, goal.method = "unsat", "sat"
-            return
-        # Conflict budget exhausted: bounded BDD on narrow support.
-        full = self.aig.and_many([goal.lit, *self.assumptions]) \
-            if self.assumptions else goal.lit
-        if len(self.aig.support([full])) <= self.budget.bdd_support:
-            status, model = check_lit_bdd(self.aig, full,
-                                          max_nodes=self.budget.bdd_nodes)
-            if status != "unknown":
-                goal.status, goal.method = status, "bdd"
-                if model is not None:
-                    goal.model = model
-                return
-        goal.status, goal.method = "unknown", "sat"
+        goal.model = result.model
 
 
 def decode_stream(instance: PairInstance,

@@ -6,9 +6,8 @@ The solver implements the classic conflict-driven core in pure Python:
 * first-UIP conflict analysis with a cheap self-subsumption minimization;
 * VSIDS-style exponential variable activities with phase saving;
 * Luby-sequence restarts;
-* a conflict budget so callers can bound worst-case miters and fall back
-  to BDDs (:mod:`~repro.analysis.equiv.bdd`) or report *unknown* instead
-  of hanging.
+* a conflict budget so callers can bound worst-case miters and report
+  *unknown* instead of hanging.
 
 Literals reuse the AIGER convention of :mod:`.aig` (variable ``v`` →
 literals ``2v`` / ``2v+1``; variable 0 is the constant, pinned false at

@@ -202,12 +202,20 @@ def bit_blast(graph: CDFG) -> BlastResult:
             result = ~diff if kind is OpKind.EQ else diff
             bits[nid] = [result]
         elif kind in (OpKind.LT, OpKind.GE, OpKind.SLT, OpKind.SGE):
+            signed = kind in (OpKind.SLT, OpKind.SGE)
             a = op_bits(0)
             c = op_bits(1)
             n = max(len(a), len(c))
-            a = [a[j] if j < len(a) else b.const(0, 1) for j in range(n)]
-            c = [c[j] if j < len(c) else b.const(0, 1) for j in range(n)]
-            if kind in (OpKind.SLT, OpKind.SGE):
+
+            def pad(v: list[Value]) -> list[Value]:
+                # Each operand extends from its own width: a signed one
+                # with its MSB, an unsigned one with zeros.
+                return v + [v[-1] if signed else b.const(0, 1)
+                            for _ in range(n - len(v))]
+
+            a = pad(a)
+            c = pad(c)
+            if signed:
                 # flip sign bits: signed compare == unsigned on biased values
                 a[n - 1] = ~a[n - 1]
                 c[n - 1] = ~c[n - 1]

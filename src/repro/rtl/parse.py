@@ -10,8 +10,9 @@ The grammar is exactly the emitter's output language — ports, ``wire``
 declarations with one expression each, behavioral memory arrays,
 register chains with initializers inside a single ``always`` block,
 continuous ``assign``s and the ``valid_sr`` fill tracker. Anything else
-raises :class:`RtlParseError`; the validator downgrades that to a
-diagnostic (EQ006) rather than guessing at semantics.
+raises :class:`RtlParseError`; the validator reports that as the rtl
+stage's ``error`` verdict (detail ``rtl-parse: ...``) rather than
+guessing at semantics.
 
 Expression evaluation (with Verilog-2001 context sizing rules) lives
 with the machine, not here: the parser produces a plain AST so the lint

@@ -504,6 +504,8 @@ class TestLinterSelectorValidation:
         assert Linter(select=["IR"], ignore=["ZZZ"]).unmatched_patterns() \
             == ["ZZZ"]
         assert Linter(select=["DF001", "IR"]).unmatched_patterns() == []
+        # EQ001-EQ006 are retired: no registered rule matches the family.
+        assert Linter(select=["EQ"]).unmatched_patterns() == ["EQ"]
 
     def test_cli_exits_2_on_unknown_selector(self, capsys):
         from repro.__main__ import main

@@ -1,17 +1,19 @@
 """Tests for the symbolic translation-validation engine.
 
 Covers the AIG/SAT core, the word-level encoders (exhaustively, per
-opcode, at small widths), the stage validators end to end, injected-bug
-detection with counterexample decode + replay, the warm-up gating that
-seeds recurrences correctly in hardware, the extended RTL parser/linter
-checks, the DEP001 SAT tier and the opt-in EQ lint rules.
+opcode, at small widths), the stage validators end to end, the budget's
+own checks, injected-bug detection with counterexample decode + replay,
+the warm-up gating that seeds recurrences correctly in hardware, the
+extended RTL parser/linter checks and the DEP001 SAT tier.
 """
 
+import dataclasses
 import itertools
+import json
 
 import pytest
 
-from repro.analysis import lint_graph, lint_schedule
+from repro.analysis import lint_graph
 from repro.analysis.equiv import (
     AIG,
     EquivBudget,
@@ -26,6 +28,7 @@ from repro.analysis.equiv.netlist import RtlMachine
 from repro.analysis.equiv.sat import solve_lit
 from repro.analysis.equiv.validate import _check_stage
 from repro.core import MapScheduler, SchedulerConfig
+from repro.errors import AnalysisError
 from repro.ir.builder import DFGBuilder
 from repro.ir.semantics import eval_node
 from repro.ir.types import OpKind
@@ -180,6 +183,48 @@ class TestValidateFlow:
         v = report.stages[0]
         again = StageVerdict.from_dict(v.to_dict())
         assert again.to_dict() == v.to_dict()
+
+    def test_starved_budget_leaves_stages_bounded(self, recurrent_graph):
+        sched = _schedule(recurrent_graph)
+        budget = EquivBudget(max_frames=1, induction_k=0, sat_conflicts=1)
+        report = validate_flow(recurrent_graph, sched, budget=budget)
+        assert [(v.stage, v.status, v.frames) for v in report.stages] == [
+            (stage, "bounded", 1)
+            for stage in ("narrow", "cover", "pipeline", "rtl")]
+        assert report.ok
+
+
+class TestEquivBudget:
+    @pytest.mark.parametrize("field,value", [
+        ("max_frames", 0), ("max_frames", -1), ("induction_k", -1),
+        ("sat_conflicts", -1), ("max_frames", 2.0), ("induction_k", True),
+        ("sat_conflicts", "10")])
+    def test_vacuous_or_mistyped_budget_raises(self, field, value):
+        with pytest.raises(AnalysisError) as info:
+            EquivBudget(**{field: value})
+        assert field in str(info.value)
+        assert info.value.report is None
+
+    def test_budget_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            EquivBudget().max_frames = 1
+
+    def test_cli_rejects_zero_frames(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["equiv", "DR", "--method", "heur-map", "--frames", "0",
+                     "--induction-k", "0"]) == 2
+        assert "max_frames" in capsys.readouterr().err
+
+    def test_cli_runs_smallest_budget(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["equiv", "DR", "--method", "heur-map", "--frames", "2",
+                     "--induction-k", "0", "--sat-conflicts", "0",
+                     "--format", "json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert [v["status"] for v in document["reports"][0]["stages"]] \
+            == ["bounded"] * 4
 
 
 class TestInjectedBugs:
@@ -357,7 +402,7 @@ class TestParserAndLint:
 
 
 # ----------------------------------------------------------------------
-# DEP001 SAT tier and the opt-in EQ rules
+# DEP001 SAT tier
 # ----------------------------------------------------------------------
 
 class TestDepSatTier:
@@ -368,29 +413,6 @@ class TestDepSatTier:
     def test_tiny_conflict_budget_does_not_crash(self, fig1_graph):
         report = lint_graph(fig1_graph, options={"dep_sat_conflicts": 1})
         assert report is not None
-
-
-class TestEqRules:
-    def test_rules_are_opt_in(self, recurrent_graph):
-        sched = _schedule(recurrent_graph)
-        codes = {d.code for d in
-                 lint_schedule(sched, XC7).diagnostics}
-        assert not any(c.startswith("EQ") for c in codes)
-
-    def test_clean_schedule_has_no_eq_errors(self, recurrent_graph):
-        sched = _schedule(recurrent_graph)
-        report = lint_schedule(sched, XC7, options={"equiv": True})
-        eq = [d for d in report.diagnostics if d.code.startswith("EQ")]
-        assert not eq, [(d.code, d.message) for d in eq]
-
-    def test_starved_budget_warns_unproved(self, recurrent_graph):
-        sched = _schedule(recurrent_graph)
-        report = lint_schedule(
-            sched, XC7,
-            options={"equiv": True, "equiv_frames": 1,
-                     "equiv_induction_k": 0, "equiv_sat_conflicts": 1})
-        codes = {d.code for d in report.diagnostics}
-        assert "EQ005" in codes
 
 
 # ----------------------------------------------------------------------
