@@ -55,7 +55,7 @@ def main() -> None:
     print(schedule.describe())
     print(f"-> {report.luts} LUTs, {report.ffs} FFs, "
           f"CP {report.cp:.2f} ns")
-    print(f"-> MILP: {scheduler.formulation.stats.num_constraints} "
+    print(f"-> MILP: {scheduler.formulation.model.num_constraints} "
           f"constraints, solved in {schedule.solve_seconds:.2f}s\n")
 
     ok_tool = replay_equivalent(tool.schedule, XC7, stream)

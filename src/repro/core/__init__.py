@@ -1,14 +1,13 @@
 """The paper's core contribution: mapping-aware modulo scheduling MILP."""
 
 from .config import SchedulerConfig
-from .formulation import FormulationStats, MappingAwareFormulation
+from .formulation import MappingAwareFormulation
 from .heuristic import MappingAwareHeuristicScheduler
 from .mapsched import BaseScheduler, MapScheduler
 from .verify import schedule_problems, verify_schedule
 
 __all__ = [
     "BaseScheduler",
-    "FormulationStats",
     "MapScheduler",
     "MappingAwareFormulation",
     "MappingAwareHeuristicScheduler",

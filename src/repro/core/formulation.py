@@ -11,6 +11,9 @@ concretizations listed in DESIGN.md Sec. 4:
   bookkeeping by ``II * distance`` (note 5);
 * explicit coverage constraints (every operation is a root or inside a
   selected cone);
+* black boxes and OUTPUT sinks have one cover choice, their unit cut
+  pinned to 1, so Eq. 4, Eq. 9 and Eq. 12 treat them like any selected
+  cut;
 * refined per-cut LUT costs by default, the paper's exact ``Bits(v)`` cost
   with ``paper_objective=True``.
 
@@ -21,7 +24,7 @@ and :meth:`MappingAwareFormulation.extract` turns a solver assignment into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 from ..cuts.cut import Cut, CutSet
 from ..errors import ModelError
@@ -34,21 +37,7 @@ from ..tech.delay import DelayModel
 from ..tech.device import Device
 from .config import SchedulerConfig
 
-__all__ = ["MappingAwareFormulation", "FormulationStats"]
-
-
-@dataclass
-class FormulationStats:
-    """Model-size bookkeeping (drives the Table 2 discussion)."""
-
-    num_nodes: int = 0
-    num_cut_vars: int = 0
-    num_sched_vars: int = 0
-    num_live_vars: int = 0
-    num_constraints: int = 0
-    horizon: int = 0
-    live_horizon: int = 0
-    notes: list[str] = field(default_factory=list)
+__all__ = ["MappingAwareFormulation"]
 
 
 class MappingAwareFormulation:
@@ -83,10 +72,13 @@ class MappingAwareFormulation:
         # tools); the target period stays in config.tcp for reporting.
         self.budget = device.usable_period(config.tcp)
         self.model = Model(f"mapsched[{graph.name}]")
-        self.stats = FormulationStats(horizon=self.horizon)
 
         # Variable groups (filled by build()).
         self.cut_vars: dict[int, list[tuple[Cut, Var]]] = {}
+        #: Every schedulable node's cover choices ``(cut, c)``: the
+        #: ``cut_vars`` binaries, then each black box's and OUTPUT sink's
+        #: unit cut with ``c`` pinned to ``1.0``.
+        self.choices: dict[int, list[tuple[Cut, Var | float]]] = {}
         self.sched_vars: dict[int, list[Var]] = {}
         self.live_vars: dict[int, list[Var]] = {}
         self.resource_vars: dict[str, Var] = {}
@@ -193,37 +185,42 @@ class MappingAwareFormulation:
         self._assignment_constraints()
         self._dependence_constraints()
         self._cycle_time_constraints()
+        first = self.model.num_constraints
         self._liveness_constraints()
         self._resource_constraints()
+        #: The Eq. 12 and Eq. 14 rows: each reads ``rest - x <= 0`` for one
+        #: ``live[u,t]`` or ``X[r]``, and no other row names those.
+        self._bound_rows = range(first, self.model.num_constraints)
         self._objective()
-        self.stats.num_nodes = len(self.graph)
-        self.stats.num_constraints = self.model.num_constraints
         return self.model
 
     def _make_variables(self) -> None:
         m = self.model
-        graph = self.graph
+        pinned: dict[int, list[tuple[Cut, float]]] = {}
         for nid in self._schedulable_ids():
-            node = graph.node(nid)
             self.sched_vars[nid] = [
                 m.binary(f"s[{nid},{t}]") for t in range(self.horizon)
             ]
             self._l[nid] = m.continuous(f"L[{nid}]", 0.0, self.budget)
-            if not self._forced_root(nid) and node.is_mappable:
-                pairs = [
-                    (cut, m.binary(f"c[{nid},{i}]"))
-                    for i, cut in enumerate(self.cuts[nid].selectable)
-                ]
-                if not pairs:
-                    raise ModelError(f"node {nid} has no selectable cuts")
-                self.cut_vars[nid] = pairs
-        self.stats.num_sched_vars = sum(len(v) for v in self.sched_vars.values())
-        self.stats.num_cut_vars = sum(len(v) for v in self.cut_vars.values())
+            if self._forced_root(nid):
+                unit = self.cuts[nid].unit
+                if unit is not None:
+                    pinned[nid] = [(unit, 1.0)]
+                continue
+            pairs = [
+                (cut, m.binary(f"c[{nid},{i}]"))
+                for i, cut in enumerate(self.cuts[nid].selectable)
+            ]
+            if not pairs:
+                raise ModelError(f"node {nid} has no selectable cuts")
+            self.cut_vars[nid] = pairs
+        # Pinned choices come last, so each row family lists forced roots
+        # after every cut binary.
+        self.choices = {**self.cut_vars, **pinned}
 
     # -- Eq. 2/3/4 + coverage -------------------------------------------
     def _cover_constraints(self) -> None:
         m = self.model
-        graph = self.graph
 
         # root_v = sum_i c_{v,i} <= 1 (Eq. 2: root is binary).
         for nid, pairs in self.cut_vars.items():
@@ -232,29 +229,18 @@ class MappingAwareFormulation:
                 expr = expr + var
             m.add(expr <= 1, name=f"root_binary[{nid}]")
 
-        # Eq. 3: primary outputs are roots (OUTPUT sinks are forced roots;
-        # their unit cut then forces the producing op to be a root via Eq. 4).
+        # Eq. 3: primary outputs are roots (an OUTPUT sink's pinned unit
+        # cut makes the producing op a root via Eq. 4).
 
-        # Eq. 4: boundary nodes of a selected cut must be roots.
-        for nid, pairs in self.cut_vars.items():
-            for cut, var in pairs:
+        # Eq. 4: boundary nodes of a selected cut must be roots. A pinned
+        # choice's row reads ``root_u >= 1``.
+        for nid, choices in self.choices.items():
+            for cut, c in choices:
                 for u in sorted(cut.boundary):
                     if self._is_const(u) or self._is_input(u):
                         continue
-                    m.add(var <= self.root_expr(u),
+                    m.add(c <= self.root_expr(u),
                           name=f"cut_input_root[{nid},{u}]")
-        for nid in self._schedulable_ids():
-            if not self._forced_root(nid):
-                continue
-            cs = self.cuts[nid]
-            unit = cs.unit
-            if unit is None:
-                continue
-            for u in sorted(unit.boundary):
-                if self._is_const(u) or self._is_input(u):
-                    continue
-                m.add(self.root_expr(u) >= 1,
-                      name=f"forced_input_root[{nid},{u}]")
 
         # Coverage: every mappable op is a root or interior to a selected
         # cone (implicit in the paper; explicit here for robustness).
@@ -310,29 +296,17 @@ class MappingAwareFormulation:
 
         # Eq. 9 (big-M, per-cut delays): for each cut i of v and each
         # boundary entry (u, dist): if c_{v,i}=1 then u's value (produced
-        # dist iterations earlier) is finished before v starts.
-        for nid, pairs in self.cut_vars.items():
-            for cut, cvar in pairs:
+        # dist iterations earlier) is finished before v starts. A pinned
+        # choice's big-M term is 0.
+        for nid, choices in self.choices.items():
+            for cut, c in choices:
                 for u, dist in cut.entries:
                     if self._is_const(u):
                         continue
                     lhs = (abs_time(u) + self.delay_expr(u)
                            - abs_time(nid) - tcp * ii * dist)
-                    m.add(lhs <= big * (1 - cvar),
+                    m.add(lhs <= big * (1 - c),
                           name=f"chain[{nid},{u}@{dist}]")
-        # Same for forced roots (their unit cut is always selected).
-        for nid in self._schedulable_ids():
-            if not self._forced_root(nid):
-                continue
-            unit = self.cuts[nid].unit
-            if unit is None:
-                continue
-            for u, dist in unit.entries:
-                if self._is_const(u):
-                    continue
-                lhs = (abs_time(u) + self.delay_expr(u)
-                       - abs_time(nid) - tcp * ii * dist)
-                m.add(lhs <= 0, name=f"chain_forced[{nid},{u}@{dist}]")
 
         # Interior equality (DESIGN.md note 4): nodes swallowed by a cone
         # execute "at" the root's time. Cycle equality is pinned separately
@@ -368,35 +342,17 @@ class MappingAwareFormulation:
         m = self.model
         ii = self.config.ii
         live_horizon = self.horizon + ii * self._max_entry_distance()
-        self.stats.live_horizon = live_horizon
 
-        # consumed[v][(u, dist)] = sum of c_{v,i} over cuts whose entries
-        # contain (u, dist); constant 1 for forced roots.
+        # consumed[(u, dist, v)] = sum of v's choices whose entries contain
+        # (u, dist); the constant 1 for a pinned unit cut.
         consumers: dict[tuple[int, int, int], LinExpr] = {}
-
-        def note_entry(v: int, u: int, dist: int, expr_or_one) -> None:
-            key = (u, dist, v)
-            cur = consumers.get(key)
-            if cur is None:
-                cur = LinExpr()
-            consumers[key] = cur + expr_or_one
-
-        for v, pairs in self.cut_vars.items():
-            for cut, cvar in pairs:
+        for v, choices in self.choices.items():
+            for cut, c in choices:
                 for u, dist in cut.entries:
                     if self._is_const(u):
                         continue
-                    note_entry(v, u, dist, cvar)
-        for v in self._schedulable_ids():
-            if not self._forced_root(v):
-                continue
-            unit = self.cuts[v].unit
-            if unit is None:
-                continue
-            for u, dist in unit.entries:
-                if self._is_const(u):
-                    continue
-                note_entry(v, u, dist, 1.0)
+                    key = (u, dist, v)
+                    consumers[key] = consumers.get(key, LinExpr()) + c
 
         # live variables for every producer that appears as an entry.
         producers = sorted({u for (u, _, _) in consumers})
@@ -407,7 +363,6 @@ class MappingAwareFormulation:
             self.live_vars[u] = [
                 m.binary(f"live[{u},{t}]") for t in range(live_horizon)
             ]
-        self.stats.num_live_vars = sum(len(v) for v in self.live_vars.values())
 
         # Eq. 12 with the consumed-aggregation and distance shift.
         for (u, dist, v), consumed in consumers.items():
@@ -482,7 +437,6 @@ class MappingAwareFormulation:
         """
         if not self._built:
             raise ModelError("build() the formulation before encoding into it")
-        ii = self.config.ii
         values: dict[int, float] = {}
 
         # Schedule + cycle-offset variables.
@@ -502,61 +456,20 @@ class MappingAwareFormulation:
             for cut, var in pairs:
                 values[var.index] = 1.0 if cut == chosen else 0.0
 
-        def consumed(u: int, dist: int, v: int) -> bool:
-            for cut, var in self.cut_vars.get(v, ()):
-                if values.get(var.index) == 1.0 and (u, dist) in cut.entries:
-                    return True
-            if self._forced_root(v):
-                unit = self.cuts[v].unit
-                if unit is not None and (u, dist) in unit.entries:
-                    return True
-            return False
-
-        # Liveness: live[u,t] must dominate def - kill - (1 - consumed)
-        # for every consumer; with one cut selected per node this is
-        # exactly "defined by t, not yet killed by every consumer".
-        def cycle_of(nid: int) -> int | None:
-            return schedule.cycle.get(nid) if nid in self.sched_vars else None
-
-        for u, lvars in self.live_vars.items():
-            u_cycle = cycle_of(u)
-            kills: list[tuple[int, int]] = []  # (consumer, dist) per use
-            for v, pairs in self.cut_vars.items():
-                for cut, var in pairs:
-                    if values.get(var.index) != 1.0:
-                        continue
-                    for eu, dist in cut.entries:
-                        if eu == u:
-                            kills.append((v, dist))
-            for v in self._schedulable_ids():
-                if not self._forced_root(v):
-                    continue
-                unit = self.cuts[v].unit
-                if unit is None:
-                    continue
-                for eu, dist in unit.entries:
-                    if eu == u:
-                        kills.append((v, dist))
-            for t, lvar in enumerate(lvars):
-                live = 0.0
-                for v, dist in kills:
-                    defined = u_cycle is None or u_cycle <= t
-                    v_cycle = cycle_of(v)
-                    killed = v_cycle is None or v_cycle + ii * dist <= t
-                    if defined and not killed and consumed(u, dist, v):
-                        live = 1.0
-                        break
-                values[lvar.index] = live
-
-        # Resource counters: the max modulo-slot occupancy actually used.
-        for rclass, xr in self.resource_vars.items():
-            slots = [0] * ii
-            for node in self.graph:
-                if node.is_blackbox and node.rclass == rclass:
-                    t = schedule.cycle.get(node.nid)
-                    if t is not None and node.nid in self.sched_vars:
-                        slots[t % ii] += 1
-            values[xr.index] = float(min(max(slots), xr.hi))
+        # live[u,t] and X[r] take the least value their own rows allow:
+        # each row reads ``rest - x <= 0``, and ``rest`` is its value
+        # before x is set.
+        free = {var.index: var
+                for lvars in self.live_vars.values() for var in lvars}
+        free.update((xr.index, xr) for xr in self.resource_vars.values())
+        least = {index: var.lo for index, var in free.items()}
+        rows = self.model.constraints
+        for i in self._bound_rows:
+            expr = rows[i].expr
+            x = next(index for index in expr.coeffs if index in free)
+            least[x] = max(least[x], expr.value(values))
+        for index, need in least.items():
+            values[index] = float(min(math.ceil(need), free[index].hi))
         return values
 
     # ------------------------------------------------------------------
@@ -582,18 +495,14 @@ class MappingAwareFormulation:
             if node.kind in (OpKind.INPUT, OpKind.CONST):
                 cycle[node.nid] = 0
                 start[node.nid] = 0.0
-        for nid, pairs in self.cut_vars.items():
-            selected = [cut for cut, var in pairs
-                        if solution.int_value(var) == 1]
+        for nid, choices in self.choices.items():
+            # A pinned choice is always selected.
+            selected = [cut for cut, c in choices
+                        if not isinstance(c, Var) or solution.int_value(c) == 1]
             if len(selected) > 1:
                 raise ModelError(f"node {nid}: multiple cuts selected")
             if selected:
                 cover[nid] = selected[0]
-        for nid in self._schedulable_ids():
-            if self._forced_root(nid):
-                unit = self.cuts[nid].unit
-                if unit is not None:
-                    cover[nid] = unit
         for node in self.graph.inputs:
             cover[node.nid] = self.cuts[node.nid].trivial
 

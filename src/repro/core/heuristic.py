@@ -26,6 +26,7 @@ from ..errors import MappingError
 from ..ir.graph import CDFG
 from ..ir.types import OpKind
 from ..ir.validate import validate
+from ..mapping.stage_mapper import greedy_cover, new_roots
 from ..scheduling.modulo import HeuristicModuloScheduler
 from ..scheduling.schedule import Schedule
 from ..tech.delay import DelayModel
@@ -89,63 +90,22 @@ class MappingAwareHeuristicScheduler:
         """Greedy depth-then-area cover (fanout-free cones only)."""
         graph = self.graph
         labels = self._depth_labels()
-        cover: dict[int, Cut] = {}
-        required: set[int] = set()
-        worklist: list[int] = []
 
-        def require(nid: int) -> None:
-            if graph.node(nid).kind in (OpKind.INPUT, OpKind.CONST):
-                return
-            if nid not in required:
-                required.add(nid)
-                worklist.append(nid)
+        def key(cut: Cut, required: set[int]) -> tuple:
+            depth = max((labels.get(u, 0) for u, dist in cut.entries
+                         if dist == 0), default=0)
+            return (depth, new_roots(graph, cut, required),
+                    len(cut.boundary), tuple(sorted(cut.boundary)))
 
-        for node in graph:
-            if node.kind is OpKind.OUTPUT or node.is_blackbox:
-                require(node.nid)
-            for op in node.operands:
-                if op.distance > 0:
-                    require(op.source)
-
-        while worklist:
-            nid = worklist.pop()
-            if nid in cover:
-                continue
-            node = graph.node(nid)
-            cs = self.cuts[nid]
-            if node.kind is OpKind.OUTPUT or node.is_blackbox:
-                if cs.unit is None:
-                    raise MappingError(f"sink {nid} has no unit cut")
-                cover[nid] = cs.unit
-                for u in cs.unit.boundary:
-                    require(u)
-                continue
-            best = None
-            best_key = None
-            for cut in cs.selectable:
-                if not cut.is_unit and (not cut.feasible(self.device.k)
-                                        or not self._fanout_free(nid, cut)):
-                    continue
-                depth = 0
-                for u, dist in cut.entries:
-                    if dist == 0:
-                        depth = max(depth, labels.get(u, 0))
-                new_roots = sum(
-                    1 for u in cut.boundary
-                    if u not in required
-                    and graph.node(u).kind not in (OpKind.INPUT, OpKind.CONST)
-                )
-                key = (depth, new_roots, len(cut.boundary),
-                       tuple(sorted(cut.boundary)))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = cut
-            if best is None:
+        def pick(nid: int, required: set[int]) -> Cut:
+            usable = [cut for cut in self.cuts[nid].selectable
+                      if cut.is_unit or (cut.feasible(self.device.k)
+                                         and self._fanout_free(nid, cut))]
+            if not usable:
                 raise MappingError(f"node {nid} has no usable cut")
-            cover[nid] = best
-            for u in best.boundary:
-                require(u)
+            return min(usable, key=lambda cut: key(cut, required))
 
+        cover = greedy_cover(graph, self.cuts, pick)
         for node in graph.inputs:
             cover[node.nid] = self.cuts[node.nid].trivial
         self.cover = cover

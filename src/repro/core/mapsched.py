@@ -60,7 +60,7 @@ class MapScheduler:
 
     # ------------------------------------------------------------------
     def enumerate(self) -> dict[int, CutSet]:
-        """Run cut enumeration (full sets for MILP-map)."""
+        """Run cut enumeration and prune the cut sets."""
         with self.tracer.span("cut-enum", method=self.method_name) as span:
             self.enumerator = CutEnumerator(
                 self.graph, self.device.k, max_cuts=self.config.max_cuts,
@@ -106,9 +106,11 @@ class MapScheduler:
         """Find the smallest feasible II >= ``config.ii`` (ascending).
 
         Cuts are enumerated once and shared by every probe. Presolve
-        fails infeasible IIs fast (often without a single LP), and the
-        heuristic warm-start cache chains across probes: a heuristic run
-        that bumped itself to a larger II seeds the solve when the sweep
+        can fail a doomed II without an LP: it does on resource-bound
+        probes (three loads on two memory ports at II=1), but on none of
+        the benchmark's presolves (docs/performance.md). The heuristic
+        warm-start cache chains across probes: a heuristic run that
+        bumped itself to a larger II seeds the solve when the sweep
         reaches that II. ``self.config`` is left at the II that
         succeeded so the returned schedule and the scheduler agree.
         """
@@ -270,16 +272,17 @@ class MapScheduler:
 
 
 class BaseScheduler(MapScheduler):
-    """MILP-base: exact scheduling without mapping awareness (Sec. 4)."""
+    """MILP-base: exact scheduling without mapping awareness (Sec. 4).
+
+    ``max_cuts=0`` disables cone growth, so every node keeps only its unit
+    cut (and :func:`prune_cut_sets` leaves one-cut sets alone).
+    """
 
     method_name = "milp-base"
 
-    def enumerate(self) -> dict[int, CutSet]:
-        """Unit cuts only — max_cuts=0 disables cone growth entirely."""
-        with self.tracer.span("cut-enum", method=self.method_name) as span:
-            self.enumerator = CutEnumerator(self.graph, self.device.k,
-                                            max_cuts=0)
-            self.cuts = self.enumerator.run()
-            span.meta["cuts"] = self.enumerator.stats.total_selectable
-            span.meta["candidates"] = self.enumerator.stats.candidates_generated
-        return self.cuts
+    def __init__(self, graph: CDFG, device: Device = XC7,
+                 config: SchedulerConfig | None = None,
+                 tracer: Tracer | None = None) -> None:
+        super().__init__(graph, device,
+                         replace(config or SchedulerConfig(), max_cuts=0),
+                         tracer)

@@ -10,9 +10,15 @@ cycle as its root.
 
 Because one LUT level is never slower than the operator it absorbs, mapping
 within a stage cannot violate the stage's already-checked timing budget.
+
+:func:`greedy_cover` is the cover loop this mapper shares with the
+mapping-aware heuristic (:mod:`repro.core.heuristic`); each passes its own
+cut choice.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from ..cuts.cut import Cut, CutSet
 from ..cuts.enumerate import CutEnumerator
@@ -24,7 +30,58 @@ from ..tech.area import AreaModel
 from ..tech.delay import DelayModel
 from ..tech.device import Device
 
-__all__ = ["StageMapper", "map_schedule"]
+__all__ = ["StageMapper", "greedy_cover", "map_schedule", "new_roots"]
+
+
+def new_roots(graph: CDFG, cut: Cut, required: set[int]) -> int:
+    """Boundary nodes that choosing ``cut`` would newly make roots."""
+    return sum(
+        1 for u in cut.boundary
+        if u not in required
+        and graph.node(u).kind not in (OpKind.INPUT, OpKind.CONST)
+    )
+
+
+def greedy_cover(graph: CDFG, cuts: dict[int, CutSet],
+                 pick: Callable[[int, set[int]], Cut]) -> dict[int, Cut]:
+    """Cover ``graph`` from its required roots; primary inputs get no cut.
+
+    Sinks (OUTPUTs, black boxes) and every value read across iterations
+    are required roots. A sink takes its unit cut, any other required
+    root the cut ``pick(root, required)`` returns, and the boundary of
+    each chosen cut becomes required in turn.
+    """
+    required: set[int] = set()
+    worklist: list[int] = []
+
+    def require(nid: int) -> None:
+        if graph.node(nid).kind in (OpKind.INPUT, OpKind.CONST):
+            return
+        if nid not in required:
+            required.add(nid)
+            worklist.append(nid)
+
+    for node in graph:
+        if node.kind is OpKind.OUTPUT or node.is_blackbox:
+            require(node.nid)
+        for op in node.operands:
+            if op.distance > 0:
+                require(op.source)
+
+    cover: dict[int, Cut] = {}
+    while worklist:
+        nid = worklist.pop()
+        node = graph.node(nid)
+        if node.kind is OpKind.OUTPUT or node.is_blackbox:
+            cut = cuts[nid].unit
+            if cut is None:
+                raise MappingError(f"sink {nid} has no unit cut")
+        else:
+            cut = pick(nid, required)
+        cover[nid] = cut
+        for u in cut.boundary:
+            require(u)
+    return cover
 
 
 class StageMapper:
@@ -108,77 +165,25 @@ class StageMapper:
         """Greedy area choice: prefer cuts whose boundaries are already
         needed elsewhere and whose cone is cheap (area-flow lite)."""
         node = self.graph.node(nid)
-        best = None
-        best_key = None
-        for cut in self._candidate_cuts(nid):
-            new_roots = sum(
-                1 for u in cut.boundary
-                if u not in required
-                and self.graph.node(u).kind not in (OpKind.INPUT, OpKind.CONST)
-            )
-            key = (
-                self.area.cut_lut_cost(node, cut) + new_roots,
-                new_roots,
-                len(cut.boundary),
-                tuple(sorted(cut.boundary)),
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best = cut
-        assert best is not None
-        return best
+
+        def key(cut: Cut) -> tuple:
+            fresh = new_roots(self.graph, cut, required)
+            return (self.area.cut_lut_cost(node, cut) + fresh, fresh,
+                    len(cut.boundary), tuple(sorted(cut.boundary)))
+
+        return min(self._candidate_cuts(nid), key=key)
 
     # ------------------------------------------------------------------
     def run(self) -> Schedule:
         """Select a cover and attach it to the schedule (returned)."""
         graph = self.graph
         schedule = self.schedule
-        required: set[int] = set()
-        worklist: list[int] = []
-
-        def require(nid: int) -> None:
-            node = graph.node(nid)
-            if node.kind in (OpKind.INPUT, OpKind.CONST):
-                return
-            if nid not in required:
-                required.add(nid)
-                worklist.append(nid)
-
-        # Roots demanded by the interface and by register boundaries.
-        for node in graph:
-            if node.kind is OpKind.OUTPUT or node.is_blackbox:
-                require(node.nid)
-            for op in node.operands:
-                if op.distance > 0:
-                    require(op.source)
-
-        cover: dict[int, Cut] = {}
-        while worklist:
-            nid = worklist.pop()
-            if nid in cover:
-                continue
-            node = graph.node(nid)
-            if node.kind is OpKind.OUTPUT or node.is_blackbox:
-                unit = self.cuts[nid].unit
-                if unit is None:
-                    raise MappingError(f"sink {nid} has no unit cut")
-                cover[nid] = unit
-                for u in unit.boundary:
-                    require(u)
-                continue
-            cut = self._pick(nid, required)
-            cover[nid] = cut
-            for u in cut.boundary:
-                require(u)
-            # A value consumed from a *different* cycle than where one of
-            # its cone-interior copies lives must itself be registered: the
-            # stage restriction already guarantees interior nodes share the
-            # root's cycle, so nothing extra is needed here.
+        cover = greedy_cover(graph, self.cuts, self._pick)
 
         # Any mappable node consumed in a different cycle than its consumer
         # is necessarily a boundary of that consumer's (same-cycle) cone, so
-        # the loop above reaches it through require(); uncovered nodes are
-        # exactly the absorbed ones. Sanity-check coverage:
+        # the cover loop requires it; uncovered nodes are exactly the
+        # absorbed ones. Sanity-check coverage:
         covered = set(cover)
         for nid, cut in cover.items():
             covered.update(cut.interior)

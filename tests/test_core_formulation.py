@@ -1,12 +1,17 @@
 """Unit tests for the MILP formulation (Eq. 2-15)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import MappingAwareFormulation, SchedulerConfig
 from repro.core.mapsched import BaseScheduler, MapScheduler
 from repro.cuts import enumerate_cuts
+from repro.designs import BENCHMARKS
 from repro.errors import ModelError
 from repro.ir import DFGBuilder
+from repro.ir.transforms import narrow_graph
 from repro.milp.model import SolveStatus
 from repro.tech.device import TUTORIAL4, XC7
 
@@ -24,10 +29,10 @@ def make_formulation(graph, device=TUTORIAL4, horizon=4, **cfg):
 class TestModelShape:
     def test_variable_groups(self):
         f = make_formulation(build_fig1())
-        assert f.stats.num_sched_vars > 0
-        assert f.stats.num_cut_vars > 0
-        assert f.stats.num_constraints > 0
-        assert f.stats.horizon == 4
+        assert sum(len(v) for v in f.sched_vars.values()) > 0
+        assert sum(len(p) for p in f.cut_vars.values()) > 0
+        assert f.model.num_constraints > 0
+        assert f.horizon == 4
 
     def test_map_has_more_cut_vars_than_base(self):
         g = build_fig1()
@@ -37,8 +42,9 @@ class TestModelShape:
             g, base_cuts, TUTORIAL4, SchedulerConfig(ii=1, tcp=5.0), 4
         )
         base.build()
-        assert full.stats.num_cut_vars > base.stats.num_cut_vars
-        assert full.stats.num_constraints > base.stats.num_constraints
+        assert (sum(len(p) for p in full.cut_vars.values())
+                > sum(len(p) for p in base.cut_vars.values()))
+        assert full.model.num_constraints > base.model.num_constraints
 
     def test_bad_horizon(self):
         g = build_fig1()
@@ -79,6 +85,42 @@ class TestModelShape:
         )
         f.build()
         assert "mem_port" in f.resource_vars
+
+
+#: SHA-256 of the milp-base and milp-map models of the nine narrowed
+#: designs at ``SchedulerConfig()``: variables, rows in order and the
+#: objective. Row names are left out. A legitimate change of a model must
+#: re-record it and say why.
+MODEL_DIGEST = (
+    "af7a6c052479598a197d7e44fa2bd8e759b7e5a9a5c9f46970e56baebf84dc02")
+
+
+def canon_model(model):
+    return [
+        [[v.name, v.kind, v.lo, v.hi] for v in model.variables],
+        [[c.sense, list(c.expr.coeffs.items()), c.expr.constant]
+         for c in model.constraints],
+        [model.sense, list(model.objective.coeffs.items()),
+         model.objective.constant],
+    ]
+
+
+def test_models_match_recorded_digest():
+    """Each scheduler's model, built with its own cuts and horizon, keeps
+    every variable, row (sense, coefficients in order, constant) and the
+    objective."""
+    digest = hashlib.sha256()
+    for name in BENCHMARKS:
+        graph = narrow_graph(BENCHMARKS[name].build())[0]
+        for cls in (BaseScheduler, MapScheduler):
+            scheduler = cls(graph, XC7, SchedulerConfig())
+            scheduler.enumerate()
+            model = MappingAwareFormulation(
+                graph, scheduler.cuts, XC7, scheduler.config,
+                scheduler._horizon()).build()
+            digest.update(json.dumps(
+                [name, cls.method_name, canon_model(model)]).encode())
+    assert digest.hexdigest() == MODEL_DIGEST
 
 
 class TestOptimalSolutions:

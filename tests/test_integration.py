@@ -10,11 +10,11 @@ than milp-base on the MILP objective's own terms.
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core import BaseScheduler, MapScheduler, SchedulerConfig, schedule_problems
 from repro.designs import BENCHMARKS, random_dfg
-from repro.errors import SchedulingError
+from repro.errors import InfeasibleError, SchedulingError
 from repro.experiments import run_flow
 from repro.hw import evaluate
 from repro.rtl import emit_verilog, lint_verilog
@@ -36,6 +36,7 @@ def random_stream(seed: int, inputs: int, width: int, n: int):
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(min_value=0, max_value=10**6))
+@example(seed=112)  # milp-base: II=1 infeasible; milp-map holds it
 def test_property_all_flows_verified_and_equivalent(seed):
     stream = random_stream(seed, inputs=3, width=8, n=12)
     for method in ("hls-tool", "milp-base", "milp-map", "heur-map"):
@@ -43,9 +44,13 @@ def test_property_all_flows_verified_and_equivalent(seed):
         try:
             flow = run_flow(graph, method, XC7, FAST)
         except SchedulingError:
+            continue
+        except InfeasibleError:
             # additive delays may make II=1 genuinely infeasible for the
-            # MILPs while the heuristic bumps the II; that asymmetry is the
+            # MILPs while the heuristics bump the II; that asymmetry is the
             # paper's point, not a bug
+            if method not in ("milp-base", "milp-map"):
+                raise
             continue
         sched = flow.schedule
         assert schedule_problems(sched, XC7) == [], method
