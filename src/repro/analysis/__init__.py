@@ -4,19 +4,17 @@ The analysis engine turns the library's correctness knowledge into
 machine-readable, per-rule-controllable diagnostics:
 
 * :class:`Diagnostic` / :class:`DiagnosticReport` — findings with stable
-  codes (``IR006``, ``SCH003``, ``MILP001``...), severities, locations and
+  codes (``IR006``, ``SCH003``, ``DF001``...), severities, locations and
   fix hints; reports filter, sort and render as text or schema-stable JSON.
 * :mod:`~repro.analysis.registry` — the rule protocol: every rule is a
   registered pass with a code, default severity, target artifact and gate.
-* :class:`Linter` — the driver: select/ignore codes, override severities,
-  run over a :class:`~repro.ir.graph.CDFG`, a
-  :class:`~repro.scheduling.schedule.Schedule` + cover, or a built
-  :class:`~repro.milp.model.Model`.
+* :class:`Linter` — the one driver: select/ignore codes, override
+  severities, run over the two artifacts of a flow, a
+  :class:`~repro.ir.graph.CDFG` or a
+  :class:`~repro.scheduling.schedule.Schedule` + cover.
 
-``docs/diagnostics.md`` tables every code. The historical string-based
-checkers (:func:`repro.ir.validate.check_problems`,
-:func:`repro.core.verify.schedule_problems`) are thin wrappers over these
-rules and keep their exact output.
+``docs/diagnostics.md`` tables every code. :func:`repro.ir.validate.validate`
+and :func:`repro.core.verify.verify_schedule` raise from a Linter's errors.
 """
 
 from .diagnostic import SCHEMA_VERSION, Diagnostic, DiagnosticReport, Severity
@@ -33,11 +31,10 @@ from .registry import (
 # nothing: execution order is by code).
 from . import dep_rules as _dep_rules  # noqa: F401,E402
 from . import ir_rules as _ir_rules  # noqa: F401,E402
-from . import milp_rules as _milp_rules  # noqa: F401,E402
 from . import schedule_rules as _schedule_rules  # noqa: F401,E402
 from .dataflow import rules as _dataflow_rules  # noqa: F401,E402
 
-from .linter import Linter, lint_graph, lint_model, lint_schedule  # noqa: E402
+from .linter import Linter, lint_graph, lint_schedule  # noqa: E402
 
 __all__ = [
     "AnalysisContext",
@@ -49,7 +46,6 @@ __all__ = [
     "Severity",
     "all_rules",
     "lint_graph",
-    "lint_model",
     "lint_schedule",
     "register",
     "rule_for",

@@ -174,10 +174,6 @@ class Interval:
     def is_constant(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def is_top(self) -> bool:
-        return self.lo == 0 and self.hi == _mask(self.width)
-
     def contains(self, value: int) -> bool:
         return self.lo <= value <= self.hi
 

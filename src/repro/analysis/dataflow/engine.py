@@ -62,10 +62,6 @@ class DataflowResult:
     def fact(self, nid: int) -> Facts:
         return self.facts[nid]
 
-    def known_bits(self, nid: int):
-        """The :class:`KnownBits` proven for node ``nid``."""
-        return self.facts[nid].bits
-
     def interval(self, nid: int):
         """The unsigned :class:`Interval` proven for node ``nid``."""
         return self.facts[nid].range

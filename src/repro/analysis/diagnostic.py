@@ -1,7 +1,7 @@
 """Diagnostic value objects for the static-analysis engine.
 
 A :class:`Diagnostic` is one machine-readable finding: a stable code
-(``IR006``, ``SCH003``, ``MILP001``...), a severity, an optional location
+(``IR006``, ``SCH003``, ``DF001``...), a severity, an optional location
 (node id, edge, or constraint name), a human message and an optional fix
 hint. A :class:`DiagnosticReport` is an ordered collection with filtering,
 sorting and rendering (text and schema-stable JSON, see
@@ -86,11 +86,12 @@ class Diagnostic:
     edge:
         ``(source, consumer)`` node-id pair for edge-anchored findings.
     constraint:
-        Constraint or variable name for MILP-model findings.
+        Name of the constraint a finding is anchored to (the resource
+        class of an oversubscribed modulo slot).
     hint:
         Optional actionable fix suggestion.
     subject:
-        What was analyzed (design/schedule/model name); stamped by the
+        What was analyzed (design or schedule name); stamped by the
         linter driver.
     """
 
@@ -179,10 +180,6 @@ class DiagnosticReport:
         return [d for d in self.diagnostics if d.severity is Severity.WARNING]
 
     @property
-    def infos(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity is Severity.INFO]
-
-    @property
     def worst(self) -> Severity | None:
         """Highest severity present, or ``None`` when the report is clean."""
         if not self.diagnostics:
@@ -264,7 +261,7 @@ class DiagnosticReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
     def messages(self) -> list[str]:
-        """Bare message strings, in insertion order (wrapper compatibility)."""
+        """Bare message strings, in insertion order."""
         return [d.message for d in self.diagnostics]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

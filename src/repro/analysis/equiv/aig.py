@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["AIG", "FALSE", "TRUE", "lit_not", "lit_var", "lit_sign"]
+__all__ = ["AIG", "FALSE", "TRUE", "lit_not", "lit_sign"]
 
 FALSE = 0
 TRUE = 1
@@ -39,11 +39,6 @@ TRUE = 1
 def lit_not(lit: int) -> int:
     """The complement literal."""
     return lit ^ 1
-
-
-def lit_var(lit: int) -> int:
-    """The variable index of a literal."""
-    return lit >> 1
 
 
 def lit_sign(lit: int) -> bool:
@@ -83,10 +78,6 @@ class AIG:
 
     def const(self, value: bool) -> int:
         return TRUE if value else FALSE
-
-    def _fanin_pair(self, lit: int) -> tuple[int, int] | None:
-        """Fanins of ``lit``'s variable when it is an AND, else ``None``."""
-        return self.fanins[lit >> 1]
 
     def and_(self, a: int, b: int) -> int:
         """AND of two literals with rewriting and structural hashing."""
@@ -202,10 +193,6 @@ class AIG:
     # -- analysis -------------------------------------------------------
     def __len__(self) -> int:
         return len(self.fanins)
-
-    @property
-    def num_ands(self) -> int:
-        return len(self.fanins) - 1 - len(self.inputs)
 
     def cone_vars(self, roots: Sequence[int]) -> list[int]:
         """Variables in the transitive fanin of ``roots`` (topological,

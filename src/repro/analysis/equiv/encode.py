@@ -33,7 +33,7 @@ from ...ir.types import OpKind
 from .aig import AIG, FALSE, TRUE, lit_not
 
 __all__ = ["BitVec", "EncodeUnsupported", "const_bits", "adjust",
-           "encode_node", "bits_to_int", "int_to_bools"]
+           "encode_node", "bits_to_int"]
 
 #: A word as LSB-first AIG literals.
 BitVec = list[int]
@@ -66,10 +66,6 @@ def bits_to_int(bit_values: Sequence[int]) -> int:
         if bit:
             word |= 1 << j
     return word
-
-
-def int_to_bools(value: int, width: int) -> list[bool]:
-    return [bool((value >> j) & 1) for j in range(width)]
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,6 @@ __all__ = [
     "PipelineMachine",
     "StateElem",
     "MachineError",
-    "machine_outputs",
 ]
 
 
@@ -121,11 +120,6 @@ def _input_name(node: Node) -> str:
 
 def _output_name(node: Node) -> str:
     return node.name or f"out{node.nid}"
-
-
-def machine_outputs(graph: CDFG) -> list[tuple[str, int]]:
-    """(name, width) per OUTPUT node, functional-simulator naming."""
-    return [(_output_name(n), n.width) for n in graph.outputs]
 
 
 class GraphMachine:

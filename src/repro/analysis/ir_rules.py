@@ -1,9 +1,8 @@
 """CDFG structural and semantic rules (codes ``IR0xx``).
 
-``IR001``–``IR008`` are the historical :func:`repro.ir.validate.check_problems`
-checks, migrated one check per rule; their message strings are kept
-byte-identical so the backward-compatible wrapper reproduces the old output
-exactly. ``IR010``+ are new semantic rules with no prior coverage.
+``IR001``–``IR008`` are the structural checks :func:`repro.ir.validate.validate`
+raises on, one check per rule. ``IR010``+ are semantic rules, which
+``validate`` does not run.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ def live_set(graph: CDFG) -> set[int]:
 
 
 # ----------------------------------------------------------------------
-# Migrated structural checks (message text is load-bearing: the
-# check_problems wrapper must return the historical strings verbatim).
+# Structural checks (the rules validate() runs).
 # ----------------------------------------------------------------------
 
 @register("IR001", "missing-operand-source", "cdfg", Severity.ERROR,
@@ -187,7 +185,7 @@ def dead_operation(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# New semantic rules.
+# Semantic rules.
 # ----------------------------------------------------------------------
 
 def _expected_width_problem(graph: CDFG, node: Node) -> str | None:

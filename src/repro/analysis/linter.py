@@ -2,13 +2,14 @@
 
 A :class:`Linter` holds per-run configuration — selected/ignored codes,
 severity overrides, sampling budgets — and exposes one entry point per
-artifact kind (:meth:`lint_graph`, :meth:`lint_schedule`,
-:meth:`lint_model`). Rules run in code order; a rule whose gate was broken
-by an earlier rule (e.g. timing rules after an unscheduled node was found)
-is skipped rather than allowed to crash on malformed input.
+artifact kind: :meth:`lint_graph` for the CDFG going into a flow and
+:meth:`lint_schedule` for the schedule and cover coming out. Rules that
+establish a gate run first, the rest in code order; a rule whose gate was
+broken by an earlier rule (e.g. timing rules after an unscheduled node was
+found) is skipped rather than allowed to crash on malformed input.
 
-Module-level :func:`lint_graph` / :func:`lint_schedule` / :func:`lint_model`
-run a default-configured linter for the common case.
+Module-level :func:`lint_graph` / :func:`lint_schedule` run a
+default-configured linter for the common case.
 """
 
 from __future__ import annotations
@@ -20,17 +21,16 @@ from .registry import AnalysisContext, Rule, rules_for_target
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..ir.graph import CDFG
-    from ..milp.model import Model
     from ..scheduling.schedule import Schedule
     from ..tech.device import Device
 
-__all__ = ["Linter", "lint_graph", "lint_schedule", "lint_model"]
+__all__ = ["Linter", "lint_graph", "lint_schedule"]
 
 
 def _matches(code: str, patterns: Iterable[str]) -> bool:
     """True when ``code`` equals or starts with any pattern (``IR`` selects
     every IR rule, ``IR006`` exactly one)."""
-    return any(code == p or code.startswith(p) for p in patterns)
+    return code.startswith(tuple(patterns))
 
 
 def _execution_order(rules: list[Rule]) -> list[Rule]:
@@ -81,17 +81,16 @@ class Linter:
 
     # ------------------------------------------------------------------
     def unmatched_patterns(self) -> list[str]:
-        """Selector/ignore patterns that match no registered rule at all.
+        """Selector/ignore patterns that match no CDFG rule.
 
         ``--select IR1`` silently running nothing (prefixes match codes,
-        not families) is a foot-gun: callers should treat a non-empty
-        result as a configuration error (the CLI exits 2).
+        not families) is a foot-gun, and so is ``--select SCH003``:
+        ``repro lint`` runs only the CDFG rules. Callers should treat a
+        non-empty result as a configuration error (the CLI exits 2).
         """
-        from .registry import all_rules
-
-        codes = [rule.code for rule in all_rules()]
+        codes = [rule.code for rule in rules_for_target("cdfg")]
         return [p for p in (self.select or []) + self.ignore
-                if not any(code == p or code.startswith(p) for code in codes)]
+                if not any(code.startswith(p) for code in codes)]
 
     def rules_for(self, target: str) -> list[Rule]:
         """The enabled rules for one artifact kind, in code order."""
@@ -132,11 +131,6 @@ class Linter:
         return self._run("schedule", ctx,
                          subject=f"{schedule.graph.name}@{schedule.method}")
 
-    def lint_model(self, model: "Model") -> DiagnosticReport:
-        """Run all MILP rules over a built model."""
-        ctx = AnalysisContext(model=model, options=self.options)
-        return self._run("model", ctx, subject=model.name)
-
 
 def _with_subject(diag, subject):
     """Stamp the analyzed subject onto a finding (kept out of rule bodies)."""
@@ -161,8 +155,3 @@ def lint_schedule(schedule: "Schedule", device: "Device",
                   **linter_kwargs: Any) -> DiagnosticReport:
     """Lint a schedule + cover with a default :class:`Linter`."""
     return Linter(**linter_kwargs).lint_schedule(schedule, device)
-
-
-def lint_model(model: "Model", **linter_kwargs: Any) -> DiagnosticReport:
-    """Lint a built MILP model with a default :class:`Linter`."""
-    return Linter(**linter_kwargs).lint_model(model)

@@ -18,7 +18,6 @@ from .diagnostic import Diagnostic, Severity
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..ir.graph import CDFG
-    from ..milp.model import Model
     from ..scheduling.schedule import Schedule
     from ..tech.device import Device
 
@@ -26,8 +25,9 @@ __all__ = ["AnalysisContext", "Rule", "RuleCheck", "register", "rule_for",
            "all_rules", "rules_for_target", "TARGETS", "GATE_WELLFORMED",
            "GATE_ACYCLIC", "GATE_SCHEDULED"]
 
-#: Artifact kinds a rule can analyze.
-TARGETS = ("cdfg", "schedule", "model")
+#: Artifact kinds a rule can analyze: the CDFG going into a flow and the
+#: schedule with its cover coming out (the two artifacts of Sec. 3).
+TARGETS = ("cdfg", "schedule")
 
 #: Gate names: a rule with a gate is skipped when the named precondition
 #: was violated by an earlier rule of the same run.
@@ -39,14 +39,13 @@ GATE_SCHEDULED = "scheduled"    # every node has a cycle (SCH001 clean)
 @dataclass
 class AnalysisContext:
     """Everything a rule may look at. Fields are populated per target:
-    ``cdfg`` rules get ``graph``; ``schedule`` rules get ``schedule`` (and
-    ``graph`` for convenience) plus ``device``; ``model`` rules get
-    ``model``. ``options`` carries linter tuning knobs (sampling budgets)."""
+    ``cdfg`` rules get ``graph`` (and ``device`` when the caller has one);
+    ``schedule`` rules get ``schedule`` (and ``graph`` for convenience) plus
+    ``device``. ``options`` carries linter tuning knobs (sampling budgets)."""
 
     graph: "CDFG | None" = None
     schedule: "Schedule | None" = None
     device: "Device | None" = None
-    model: "Model | None" = None
     options: dict[str, Any] = field(default_factory=dict)
 
 

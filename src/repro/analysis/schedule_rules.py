@@ -1,10 +1,9 @@
 """Schedule + cover rules (codes ``SCH0xx``).
 
-``SCH001``–``SCH010`` are the historical
-:func:`repro.core.verify.schedule_problems` constraint families, one rule per
-family, with byte-identical message strings (the wrapper depends on it).
-``SCH011``+ are new: cover-legality duplication and recurrence-slack
-warnings.
+``SCH001``–``SCH010`` are the constraint families of Sec. 3, one rule per
+family; :func:`repro.core.verify.verify_schedule` raises on their errors.
+``SCH011``+ report without failing verification: duplicated logic and
+recurrence slack.
 
 All rules except ``SCH001`` are gated on the schedule being complete —
 timing math on an unscheduled node would raise, not diagnose.

@@ -4,7 +4,7 @@ from .config import SchedulerConfig
 from .formulation import MappingAwareFormulation
 from .heuristic import MappingAwareHeuristicScheduler
 from .mapsched import BaseScheduler, MapScheduler
-from .verify import schedule_problems, verify_schedule
+from .verify import verify_schedule
 
 __all__ = [
     "BaseScheduler",
@@ -12,6 +12,5 @@ __all__ = [
     "MappingAwareFormulation",
     "MappingAwareHeuristicScheduler",
     "SchedulerConfig",
-    "schedule_problems",
     "verify_schedule",
 ]

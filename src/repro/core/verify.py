@@ -9,8 +9,8 @@ bug cannot silently ship a bogus QoR number.
 
 The constraint checks themselves live in
 :mod:`repro.analysis.schedule_rules` as registered rules (codes
-``SCH001``–``SCH010``); :func:`schedule_problems` is the backward-compatible
-string facade and :func:`verify_schedule` raises with the full
+``SCH001``–``SCH010``); :func:`verify_schedule` raises with every violation
+on the exception's ``violations`` and the full
 :class:`~repro.analysis.DiagnosticReport` attached.
 """
 
@@ -20,44 +20,7 @@ from ..errors import ScheduleVerificationError
 from ..scheduling.schedule import Schedule
 from ..tech.device import Device
 
-__all__ = ["verify_schedule", "schedule_problems"]
-
-
-def schedule_problems(schedule: Schedule, device: Device) -> list[str]:
-    """Return all constraint violations (empty list = valid)."""
-    from ..analysis import schedule_rules
-    from ..analysis.registry import AnalysisContext
-
-    ctx = AnalysisContext(graph=schedule.graph, schedule=schedule,
-                          device=device)
-
-    problems = [d.message for d in schedule_rules.unscheduled_node(ctx)]
-    if problems:
-        return problems
-
-    # The historical checker walked the cover once, emitting root-mismatch,
-    # infeasibility and cut-input findings per entry; merge the per-rule
-    # streams back into that interleaved order.
-    entry_order = {nid: i for i, nid in enumerate(schedule.cover)}
-    legality: list[tuple[int, int, int, str]] = []
-    cover_checks = (schedule_rules.cover_root_mismatch,
-                    schedule_rules.infeasible_cut,
-                    schedule_rules.cut_input_not_root)
-    for check_idx, check in enumerate(cover_checks):
-        for seq, diag in enumerate(check(ctx)):
-            pos = entry_order.get(diag.node, len(entry_order))
-            legality.append((pos, check_idx, seq, diag.message))
-    legality.sort(key=lambda item: (item[0], item[1], item[2]))
-    problems = [message for _, _, _, message in legality]
-
-    for check in (schedule_rules.uncovered_operation,
-                  schedule_rules.interior_not_cotimed,
-                  schedule_rules.cycle_budget_exceeded,
-                  schedule_rules.chaining_violation,
-                  schedule_rules.dependence_violation,
-                  schedule_rules.resource_oversubscribed):
-        problems.extend(d.message for d in check(ctx))
-    return problems
+__all__ = ["verify_schedule"]
 
 
 def verify_schedule(schedule: Schedule, device: Device) -> Schedule:

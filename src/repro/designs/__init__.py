@@ -5,7 +5,7 @@ from .aes import AES_SBOX, build_aes_round, make_aes_env, reference_aes_round
 from .clz import build_clz, reference_clz
 from .cordic import build_cordic, cordic_atan_table, reference_cordic
 from .dr import DR_TRAINING, build_dr, make_dr_env, reference_dr_step
-from .fullsize import FULLSIZE, fullsize_names, get_fullsize
+from .fullsize import FULLSIZE
 from .gfmul import build_gfmul, reference_gfmul
 from .gsm import build_gsm, reference_gsm_step
 from .mt import MT_TABLE_SIZE, build_mt, make_mt_env, reference_mt
@@ -39,9 +39,7 @@ __all__ = [
     "build_rs",
     "build_xorr",
     "cordic_atan_table",
-    "fullsize_names",
     "get_benchmark",
-    "get_fullsize",
     "kernel_names",
     "make_aes_env",
     "make_dr_env",

@@ -25,7 +25,7 @@ from .gfmul import build_gfmul
 from .registry import BenchmarkSpec
 from .xorr import build_xorr
 
-__all__ = ["FULLSIZE", "get_fullsize", "fullsize_names"]
+__all__ = ["FULLSIZE"]
 
 #: x^64 + x^4 + x^3 + x + 1 (a standard GF(2^64) reduction polynomial);
 #: the builder carries the implicit x^64 term, so only the low bits appear.
@@ -77,21 +77,3 @@ _register(BenchmarkSpec(
     stream=_uniform_stream([(f"x{i}", 16) for i in range(1251)]),
     notes="full-size variant of XORR for partition scheduling",
 ))
-
-
-def get_fullsize(name: str) -> BenchmarkSpec:
-    """Look up a full-size variant by name (case-insensitive)."""
-    from ..errors import ExperimentError
-
-    key = name.upper()
-    if key not in FULLSIZE:
-        raise ExperimentError(
-            f"unknown full-size design {name!r}; "
-            f"available: {', '.join(FULLSIZE)}"
-        )
-    return FULLSIZE[key]
-
-
-def fullsize_names() -> list[str]:
-    """All full-size variant names, registration order."""
-    return list(FULLSIZE)

@@ -259,7 +259,7 @@ def _dispatch(graph: CDFG, method: str, device: Device,
     elif method == "hls-tool":
         with tracer.span("schedule", method=method):
             schedule = CommercialHLSProxy(graph, device, tcp=config.tcp)\
-                .run(target_ii=config.ii).schedule
+                .run(target_ii=config.ii)
     else:
         from ..core.heuristic import MappingAwareHeuristicScheduler
 

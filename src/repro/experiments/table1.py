@@ -16,14 +16,13 @@ solves (the per-row traces prove it).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from ..core.config import SchedulerConfig
 from ..errors import ExperimentError
 from ..hw.cost import HardwareReport
 from ..runtime.cache import FlowCache
-from ..runtime.parallel import run_parallel, task_seed
+from ..runtime.parallel import run_parallel
 from ..runtime.trace import Tracer
 from ..sim.pipeline import replay_equivalent
 from ..tech.device import XC7, Device
@@ -77,10 +76,6 @@ class _FlowTask:
 
 def _run_flow_task(task: _FlowTask) -> Table1Row:
     """Worker: run one flow (possibly in a pool process) and build its row."""
-    # Deterministic per-task seed: no library path consumes the global RNG
-    # today, but reseeding pins the result against any future drift and
-    # makes parallel scheduling order irrelevant by construction.
-    random.seed(task_seed(task.design, task.method))
     spec: BenchmarkSpec = BENCHMARKS[task.design]
     cache = FlowCache(task.cache_dir) if task.cache_dir else None
     flow = run_flow(spec.build(), task.method, task.device, task.config,

@@ -15,12 +15,11 @@ the per-design tasks run through :func:`repro.runtime.run_parallel`.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from ..core.config import SchedulerConfig
 from ..runtime.cache import FlowCache
-from ..runtime.parallel import run_parallel, task_seed
+from ..runtime.parallel import run_parallel
 from ..runtime.trace import Tracer
 from ..tech.device import XC7, Device
 from ..designs.registry import BENCHMARKS
@@ -80,7 +79,6 @@ def _milp_measurements(trace: Tracer, schedule) -> tuple[float, int, int, bool]:
 
 def _run_table2_task(task: _Table2Task) -> Table2Row:
     """Worker: both MILP flows for one design, measured via their traces."""
-    random.seed(task_seed(task.design, "table2"))
     spec = BENCHMARKS[task.design]
     cache = FlowCache(task.cache_dir) if task.cache_dir else None
     num_ops = spec.build().num_operations

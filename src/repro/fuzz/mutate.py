@@ -20,7 +20,7 @@ from ..errors import ReproError
 from ..ir.graph import CDFG
 from ..ir.node import Operand
 from ..ir.types import OpKind
-from ..ir.validate import check_problems
+from ..ir.validate import validate
 
 __all__ = ["MUTATORS", "mutate", "splice", "width_perturb",
            "constant_inject", "recurrence_rewire"]
@@ -32,14 +32,10 @@ def _finish(graph: CDFG) -> CDFG | None:
 
     try:
         cleaned, _ = eliminate_dead_code(graph)
+        validate(cleaned)
     except ReproError:
         return None
-    return cleaned if not check_problems(cleaned) else None
-
-
-def _op_nodes(graph: CDFG) -> list[int]:
-    return [n.nid for n in graph
-            if n.kind not in (OpKind.INPUT, OpKind.OUTPUT, OpKind.CONST)]
+    return cleaned
 
 
 def splice(graph: CDFG, rng: random.Random) -> CDFG | None:

@@ -228,18 +228,19 @@ def oracle_schedule(case: FuzzCase) -> Divergence | None:
     """All three flows verify independently; at optimality the
     mapping-aware objective never exceeds the mapping-agnostic one
     (unit cuts are a subset of the full cut sets)."""
-    from ..core.verify import schedule_problems
+    from ..core.verify import verify_schedule
 
     base = case.flow("milp-base")
     mapped = case.flow("milp-map")
     for method, flow in (("milp-base", base), ("milp-map", mapped)):
-        problems = schedule_problems(flow.schedule, case.device)
-        if problems:
+        try:
+            verify_schedule(flow.schedule, case.device)
+        except ScheduleVerificationError as exc:
             return Divergence(
                 oracle="schedule", kind="verify",
                 message=f"{method} schedule fails independent "
                         f"re-verification",
-                details={"method": method, "problems": problems[:5]})
+                details={"method": method, "problems": exc.violations[:5]})
     sb, sm = base.schedule, mapped.schedule
     if (sb.optimal and sm.optimal
             and sb.objective is not None and sm.objective is not None
@@ -468,7 +469,7 @@ def oracle_partition(case: FuzzCase) -> Divergence | None:
     """
     import dataclasses
 
-    from ..core.verify import schedule_problems
+    from ..core.verify import verify_schedule
     from ..partition import PartitionScheduler
 
     mono = case.flow("milp-map")
@@ -487,12 +488,13 @@ def oracle_partition(case: FuzzCase) -> Divergence | None:
     except SchedulingError as exc:
         raise SkipOracle(f"partition: infeasible ({exc})") from exc
 
-    problems = schedule_problems(stitched, case.device)
-    if problems:
+    try:
+        verify_schedule(stitched, case.device)
+    except ScheduleVerificationError as exc:
         return Divergence(
             oracle="partition", kind="verify",
             message="stitched schedule fails independent re-verification",
-            details={"problems": problems[:5], "subgraph_size": size})
+            details={"problems": exc.violations[:5], "subgraph_size": size})
     if stitched.ii > mono.schedule.ii:
         return Divergence(
             oracle="partition", kind="cost",

@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import ReproError
+from ..errors import ReproError, ValidationError
 from ..ir.graph import CDFG
 from ..ir.node import Operand
 from ..ir.types import OpKind
-from ..ir.validate import check_problems
+from ..ir.validate import validate
 
 __all__ = ["ShrinkResult", "shrink", "drop_node"]
 
@@ -76,7 +76,7 @@ def drop_node(graph: CDFG, nid: int) -> CDFG | None:
     if nid in mapping:
         return None   # a self-loop kept it alive (ids are renumbered, so
                       # membership must be tested via the old->new mapping)
-    return cleaned if not check_problems(cleaned) else None
+    return _valid(cleaned)
 
 
 def _narrow_node(graph: CDFG, nid: int, width: int) -> CDFG | None:
@@ -89,7 +89,16 @@ def _narrow_node(graph: CDFG, nid: int, width: int) -> CDFG | None:
     if g.node(nid).kind is OpKind.CONST:
         g.node(nid).value &= (1 << width) - 1
     g._invalidate()
-    return g if not check_problems(g) else None
+    return _valid(g)
+
+
+def _valid(graph: CDFG) -> CDFG | None:
+    """``graph`` when it passes :func:`validate`, else ``None``."""
+    try:
+        validate(graph)
+    except ValidationError:
+        return None
+    return graph
 
 
 def _clip_stimulus(stimulus: list[dict[str, int]],

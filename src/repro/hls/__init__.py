@@ -1,12 +1,5 @@
 """Commercial-HLS-tool proxy (heuristic additive-delay baseline flow)."""
 
-from .report import ScheduleReport, back_annotate, make_report
-from .tool import CommercialHLSProxy, HLSResult
+from .tool import CommercialHLSProxy
 
-__all__ = [
-    "CommercialHLSProxy",
-    "HLSResult",
-    "ScheduleReport",
-    "back_annotate",
-    "make_report",
-]
+__all__ = ["CommercialHLSProxy"]

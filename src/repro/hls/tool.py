@@ -8,8 +8,6 @@ produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import SchedulingError
 from ..ir.graph import CDFG
 from ..ir.validate import validate
@@ -17,17 +15,8 @@ from ..mapping.stage_mapper import map_schedule
 from ..scheduling.modulo import HeuristicModuloScheduler
 from ..scheduling.schedule import Schedule
 from ..tech.device import XC7, Device
-from .report import ScheduleReport, make_report
 
-__all__ = ["CommercialHLSProxy", "HLSResult"]
-
-
-@dataclass
-class HLSResult:
-    """Output bundle of the baseline flow."""
-
-    schedule: Schedule
-    report: ScheduleReport
+__all__ = ["CommercialHLSProxy"]
 
 
 class CommercialHLSProxy:
@@ -40,7 +29,7 @@ class CommercialHLSProxy:
         self.device = device
         self.tcp = tcp
 
-    def run(self, target_ii: int = 1) -> HLSResult:
+    def run(self, target_ii: int = 1) -> Schedule:
         """Schedule (heuristic, additive), then map each stage to LUTs.
 
         The achieved II may exceed ``target_ii`` when the additive delay
@@ -49,8 +38,7 @@ class CommercialHLSProxy:
         """
         scheduler = HeuristicModuloScheduler(self.graph, self.device, self.tcp)
         schedule = scheduler.schedule(target_ii=target_ii)
-        report = make_report(schedule, self.device)
         schedule = map_schedule(schedule, self.device)
         if not schedule.cover:
             raise SchedulingError("stage mapping produced an empty cover")
-        return HLSResult(schedule=schedule, report=report)
+        return schedule

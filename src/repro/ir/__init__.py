@@ -27,7 +27,7 @@ from .types import (
     arity_of,
     op_class_of,
 )
-from .validate import check_problems, validate
+from .validate import validate
 
 __all__ = [
     "CDFG",
@@ -42,7 +42,6 @@ __all__ = [
     "Value",
     "arity_of",
     "balance_reduction_trees",
-    "check_problems",
     "compile_kernel",
     "eliminate_common_subexpressions",
     "eliminate_dead_code",

@@ -1,14 +1,9 @@
 """Structural validation for CDFGs.
 
-This module is a thin backward-compatible facade over the rule-based
-analysis engine (:mod:`repro.analysis`): every check lives in
-:mod:`repro.analysis.ir_rules` with a stable diagnostic code, and
-:func:`check_problems` re-assembles the historical plain-string output —
-same messages, same ordering, same early-exit behaviour — for callers that
-predate the engine. New code should prefer
-:func:`repro.analysis.lint_graph`, which also runs the semantic rules
-(width inference, dead MUX arms, constant folding, DEP soundness) that have
-no string-based equivalent.
+:func:`validate` runs the structural rules ``IR001``–``IR008`` of the
+analysis engine (:mod:`repro.analysis.ir_rules`) and raises on any finding.
+:func:`repro.analysis.lint_graph` runs them together with the semantic
+rules (width inference, dead MUX arms, constant folding, DEP soundness).
 """
 
 from __future__ import annotations
@@ -16,59 +11,22 @@ from __future__ import annotations
 from ..errors import ValidationError
 from .graph import CDFG
 
-__all__ = ["validate", "check_problems"]
+__all__ = ["validate"]
+
+#: Dangling operands, constant overflow, MUX select width, OUTPUT sinks,
+#: SLICE range, combinational cycles, missing outputs and dead operations.
+STRUCTURAL_RULES = tuple(f"IR00{i}" for i in range(1, 9))
 
 
-def check_problems(graph: CDFG, require_outputs: bool = True) -> list[str]:
-    """Return a list of structural problems (empty list = valid).
+def validate(graph: CDFG) -> None:
+    """Raise :class:`ValidationError` if the graph is malformed.
 
-    Checks, in order:
-
-    * every operand source refers to an existing node (``IR001``);
-    * constants fit their declared width (``IR002``);
-    * MUX selects are 1 bit wide (``IR003``);
-    * OUTPUT nodes are sinks (``IR004``) and SLICEs stay in range (``IR005``);
-    * distance-0 edges form a DAG (``IR006``);
-    * (optionally) at least one primary output exists (``IR007``) and every
-      operation reaches one (``IR008``) — dead code would silently distort
-      area numbers.
+    The message joins the first eight errors of ``IR001``–``IR008`` in the
+    linter's order. Dead code is an error: it would silently distort area
+    numbers.
     """
-    from ..analysis import ir_rules
-    from ..analysis.registry import AnalysisContext
+    from ..analysis import Linter
 
-    ctx = AnalysisContext(graph=graph)
-
-    problems = [d.message for d in ir_rules.missing_operand_source(ctx)]
-    if problems:
-        return problems  # later checks assume well-formed edges
-
-    # The historical checker ran these four checks node by node; merge the
-    # per-rule streams back into that interleaved order.
-    per_node: list[tuple[int, int, str]] = []
-    node_checks = (ir_rules.const_overflow, ir_rules.mux_select_width,
-                   ir_rules.output_not_sink, ir_rules.slice_out_of_range)
-    for check_idx, check in enumerate(node_checks):
-        for diag in check(ctx):
-            nid = diag.node if diag.node is not None else -1
-            per_node.append((nid, check_idx, diag.message))
-    per_node.sort(key=lambda item: (item[0], item[1]))
-    problems = [message for _, _, message in per_node]
-
-    cycle = [d.message for d in ir_rules.combinational_cycle(ctx)]
-    if cycle:
-        problems.extend(cycle)
-        return problems
-
-    if require_outputs:
-        no_outputs = [d.message for d in ir_rules.no_primary_outputs(ctx)]
-        problems.extend(no_outputs)
-        if not no_outputs:
-            problems.extend(d.message for d in ir_rules.dead_operation(ctx))
-    return problems
-
-
-def validate(graph: CDFG, require_outputs: bool = True) -> None:
-    """Raise :class:`ValidationError` if the graph is malformed."""
-    problems = check_problems(graph, require_outputs=require_outputs)
-    if problems:
-        raise ValidationError("; ".join(problems[:8]))
+    errors = Linter(select=STRUCTURAL_RULES).lint_graph(graph).errors
+    if errors:
+        raise ValidationError("; ".join(d.message for d in errors[:8]))

@@ -285,18 +285,6 @@ class Model:
     def num_integer_vars(self) -> int:
         return sum(1 for v in self.variables if v.kind != "continuous")
 
-    def lint(self):
-        """Run the MILP static-analysis rules over this model.
-
-        Returns a :class:`~repro.analysis.DiagnosticReport` flagging
-        trivially infeasible constraints, dead variables, by-construction
-        unbounded objectives, non-finite coefficients and duplicate
-        constraints (codes ``MILP001``–``MILP005``).
-        """
-        from ..analysis import lint_model
-
-        return lint_model(self)
-
     def check(self, assignment: Mapping[int, float],
               tol: float = 1e-6) -> list[str]:
         """Names/indices of constraints violated by ``assignment``."""

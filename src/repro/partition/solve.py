@@ -4,27 +4,18 @@ The worker is a module-level function over a picklable task so the pool
 can ship it to worker processes; results come back as serialized
 schedules (:func:`repro.ir.serialize.schedule_to_dict`), which keeps the
 pool protocol JSON-plain and lets the scheduler memoize them directly.
-
-Each worker seeds the global RNG from :func:`repro.runtime.task_seed`
-over the subgraph's *content fingerprint* rather than its position in
-the partition chain: a feedback re-cut renumbers chain positions but
-leaves untouched subgraphs byte-identical, so content-keyed seeds keep
-their solves deterministic across re-cuts (and distinct subgraphs still
-get distinct seeds).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any
 
 from ..core.config import SchedulerConfig
-from ..runtime.parallel import task_seed
 from ..runtime.trace import Tracer
 from ..tech.device import Device
 
-__all__ = ["SubgraphSolveTask", "solve_subgraph_task", "subgraph_seed"]
+__all__ = ["SubgraphSolveTask", "solve_subgraph_task"]
 
 
 @dataclass(frozen=True)
@@ -41,12 +32,6 @@ class SubgraphSolveTask:
     pin_ii: int | None = None  # None = ascending-II sweep
 
 
-def subgraph_seed(task: SubgraphSolveTask) -> int:
-    """Deterministic per-subgraph seed (stable under partition re-cuts)."""
-    return task_seed(task.design, task.method, "subgraph",
-                     task.fingerprint, task.pin_ii)
-
-
 def solve_subgraph_task(task: SubgraphSolveTask) -> dict[str, Any]:
     """Solve one subgraph; returns ``schedule_to_dict`` of the result.
 
@@ -60,7 +45,6 @@ def solve_subgraph_task(task: SubgraphSolveTask) -> dict[str, Any]:
     from ..core.mapsched import BaseScheduler, MapScheduler
     from ..ir.serialize import graph_from_dict, schedule_to_dict
 
-    random.seed(subgraph_seed(task))
     graph = graph_from_dict(task.graph_data)
     config = task.config
     if task.pin_ii is not None:

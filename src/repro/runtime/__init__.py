@@ -17,7 +17,7 @@ trace span schema.
 
 from .cache import CACHE_FILE_SCHEMA, FlowCache
 from .fingerprint import CACHE_SCHEMA_VERSION, flow_fingerprint
-from .parallel import resolve_jobs, run_parallel, task_seed
+from .parallel import resolve_jobs, run_parallel
 from .trace import SPAN_NAMES, TRACE_SCHEMA, Span, Tracer
 
 __all__ = [
@@ -31,5 +31,4 @@ __all__ = [
     "flow_fingerprint",
     "resolve_jobs",
     "run_parallel",
-    "task_seed",
 ]

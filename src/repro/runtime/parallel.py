@@ -8,20 +8,19 @@ multiprocessing at all — it is literally a list comprehension over the
 same worker, which keeps the serial path exactly as it was before this
 module existed.
 
-Workers must be module-level functions (the pool pickles them), and every
-worker seeds Python's global RNG from :func:`task_seed` before doing any
-work, so a task's result cannot depend on which process — or in which
-order — it ran.
+Workers must be module-level functions (the pool pickles them). No
+library path reads Python's global RNG (every sampler builds its own
+seeded ``random.Random``), so a task's result cannot depend on which
+process — or in which order — it ran.
 """
 
 from __future__ import annotations
 
 import os
-import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Iterable, Sequence, TypeVar
 
-__all__ = ["run_parallel", "resolve_jobs", "task_seed"]
+__all__ = ["run_parallel", "resolve_jobs"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -40,12 +39,6 @@ def resolve_jobs(jobs: int | None) -> int:
         except ValueError:
             jobs = 1
     return max(1, jobs)
-
-
-def task_seed(*parts: object) -> int:
-    """Deterministic 32-bit seed for one task (stable across processes)."""
-    blob = "\x1f".join(str(p) for p in parts).encode("utf-8")
-    return zlib.crc32(blob) & 0xFFFFFFFF
 
 
 def run_parallel(tasks: Sequence[T], worker: Callable[[T], R],

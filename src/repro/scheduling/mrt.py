@@ -23,16 +23,12 @@ class ModuloReservationTable:
         self._slots: dict[tuple[str, int], list[int]] = {}
         self._placed: dict[int, tuple[str, int]] = {}
 
-    def occupancy(self, rclass: str, slot: int) -> int:
-        """Operations currently holding (rclass, slot % II)."""
-        return len(self._slots.get((rclass, slot % self.ii), ()))
-
     def fits(self, rclass: str, slot: int) -> bool:
         """True if another op of ``rclass`` can be placed at ``slot``."""
         cap = self.capacity.get(rclass)
         if cap is None:
             return True
-        return self.occupancy(rclass, slot) < cap
+        return len(self._slots.get((rclass, slot % self.ii), ())) < cap
 
     def place(self, nid: int, rclass: str, slot: int) -> None:
         """Reserve an instance; raises if full or already placed."""

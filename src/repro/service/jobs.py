@@ -425,18 +425,6 @@ class SchedulingService:
         with self._lock:
             return list(self._jobs.values())
 
-    def wait_idle(self, timeout: float = 60.0,
-                  poll: float = 0.02) -> bool:
-        """Block until no job is queued or running (testing aid)."""
-        deadline = time.time() + timeout
-        while time.time() < deadline:
-            with self._lock:
-                if all(job.state in TERMINAL_STATES
-                       for job in self._jobs.values()):
-                    return True
-            time.sleep(poll)
-        return False
-
     def stats(self) -> dict[str, Any]:
         with self._lock:
             latencies = sorted(self._latencies)

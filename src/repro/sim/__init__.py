@@ -1,6 +1,6 @@
 """Functional and cycle-accurate simulation of kernels and schedules."""
 
-from .functional import FunctionalSimulator, SimEnvironment, run_functional
+from .functional import FunctionalSimulator, SimEnvironment
 from .pipeline import PipelineSimulator, replay_equivalent
 
 __all__ = [
@@ -8,5 +8,4 @@ __all__ = [
     "PipelineSimulator",
     "SimEnvironment",
     "replay_equivalent",
-    "run_functional",
 ]

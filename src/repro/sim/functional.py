@@ -16,7 +16,7 @@ from ..ir.graph import CDFG
 from ..ir.semantics import eval_node, mask
 from ..ir.types import OpKind
 
-__all__ = ["SimEnvironment", "FunctionalSimulator", "run_functional"]
+__all__ = ["SimEnvironment", "FunctionalSimulator"]
 
 
 @dataclass
@@ -112,9 +112,3 @@ class FunctionalSimulator:
     def values_at(self, iteration: int) -> dict[int, int]:
         """All node values computed during ``iteration`` (for debugging)."""
         return dict(self._history[iteration])
-
-
-def run_functional(graph: CDFG, input_stream: Iterable[Mapping[str, int]],
-                   env: SimEnvironment | None = None) -> list[dict[str, int]]:
-    """One-shot helper: simulate ``graph`` over an input stream."""
-    return FunctionalSimulator(graph, env).run(input_stream)

@@ -1,8 +1,9 @@
 """Unit tests for the static-analysis engine (repro.analysis).
 
 Every diagnostic code gets at least one trigger test and the corresponding
-clean case; the backward-compatible wrappers are checked to return the seed
-behavior (empty problem lists) on all nine benchmarks.
+clean case; ``validate`` and ``verify_schedule``, which raise from the
+linter's errors, are checked to pass on the nine benchmarks and on mapped
+schedules.
 """
 
 from __future__ import annotations
@@ -22,17 +23,15 @@ from repro.analysis import (
     Severity,
     all_rules,
     lint_graph,
-    lint_model,
     lint_schedule,
     rule_for,
 )
 from repro.bitdeps.packed import PackedSupportCalculator, Rows
-from repro.core import MapScheduler, SchedulerConfig, schedule_problems
+from repro.core import MapScheduler, SchedulerConfig, verify_schedule
 from repro.designs.registry import BENCHMARKS
-from repro.errors import AnalysisError
-from repro.ir import CDFG, DFGBuilder, OpKind, Operand, check_problems
+from repro.errors import AnalysisError, ValidationError
+from repro.ir import CDFG, DFGBuilder, OpKind, Operand, validate
 from repro.ir.types import COMPARISON_KINDS, OpClass, arity_of, op_class_of
-from repro.milp.model import LinExpr, Model
 from repro.tech.device import TUTORIAL4, XC7
 
 from .conftest import build_fig1, build_recurrent
@@ -750,77 +749,6 @@ class TestScheduleRules:
 
 
 # ----------------------------------------------------------------------
-# MILP rules
-# ----------------------------------------------------------------------
-
-class TestMilpRules:
-    def test_clean_model(self):
-        m = Model("clean")
-        x = m.binary("x")
-        y = m.integer("y", lo=0, hi=10)
-        m.add(x + 2 * y <= 7, name="cap")
-        m.minimize(x + y)
-        assert len(lint_model(m)) == 0
-
-    def test_milp001_trivially_infeasible(self):
-        m = Model("bad")
-        x = m.binary("x")
-        m.add(x <= 1)
-        m.add(LinExpr({}, 5.0) <= 0, name="nonsense")
-        m.minimize(x)
-        report = lint_model(m)
-        assert "MILP001" in codes_of(report)
-        assert report.by_code("MILP001")[0].constraint == "nonsense"
-
-    def test_milp002_unused_variable(self):
-        m = Model("dead-var")
-        x = m.binary("x")
-        _dead = m.binary("never")
-        m.add(x <= 1)
-        m.minimize(x)
-        report = lint_model(m)
-        assert "MILP002" in codes_of(report)
-
-    def test_milp003_unbounded_objective(self):
-        m = Model("unbounded")
-        x = m.continuous("x", lo=0.0)  # hi defaults to +inf
-        m.maximize(x)  # no constraint touches x
-        report = lint_model(m)
-        assert "MILP003" in codes_of(report)
-
-    def test_milp003_bounded_is_clean(self):
-        m = Model("bounded")
-        x = m.continuous("x", lo=0.0, hi=5.0)
-        m.maximize(x)
-        assert "MILP003" not in codes_of(lint_model(m))
-
-    def test_milp004_non_finite(self):
-        m = Model("nan")
-        x = m.binary("x")
-        m.add(x * float("inf") <= 1, name="broken")
-        m.minimize(x)
-        report = lint_model(m)
-        assert "MILP004" in codes_of(report)
-
-    def test_milp005_duplicate(self):
-        m = Model("dup")
-        x = m.binary("x")
-        m.add(x <= 1, name="one")
-        m.add(x <= 1, name="two")
-        m.minimize(x)
-        report = lint_model(m)
-        assert "MILP005" in codes_of(report)
-        assert "duplicates one" in report.by_code("MILP005")[0].message
-
-    def test_model_lint_method(self):
-        m = Model("method")
-        x = m.binary("x")
-        m.add(x <= 1)
-        m.minimize(x)
-        assert isinstance(m.lint(), DiagnosticReport)
-
-
-# ----------------------------------------------------------------------
 # Linter configuration, report API, JSON schema
 # ----------------------------------------------------------------------
 
@@ -896,28 +824,35 @@ class TestLinterConfig:
 
 
 # ----------------------------------------------------------------------
-# Backward-compatible wrappers (seed behavior preserved)
+# validate / verify_schedule: the linter's errors, raised
 # ----------------------------------------------------------------------
 
 class TestWrapperCompatibility:
-    def test_check_problems_clean_on_all_benchmarks(self):
-        for name, spec in BENCHMARKS.items():
-            assert check_problems(spec.build()) == [], name
+    def test_validate_passes_all_benchmarks(self):
+        for spec in BENCHMARKS.values():
+            validate(spec.build())
 
-    def test_schedule_problems_clean_on_mapped_schedules(self):
+    def test_verify_schedule_passes_mapped_schedules(self):
         for build in (build_fig1, build_recurrent):
             sched = MapScheduler(build(), TUTORIAL4,
                                  SchedulerConfig(ii=1, tcp=5.0)).schedule()
-            assert schedule_problems(sched, TUTORIAL4) == []
+            assert verify_schedule(sched, TUTORIAL4) is sched
 
-    def test_check_problems_matches_rule_messages(self):
+    def test_validate_message_joins_rule_messages(self):
         g = CDFG()
         a = g.add_node(OpKind.INPUT, 4, name="a")
         s = g.add_node(OpKind.SLICE, 3, operands=[a.nid], amount=2)
-        g.add_node(OpKind.OUTPUT, 3, operands=[s.nid], name="o")
-        problems = check_problems(g)
-        report = lint_graph(g, select=["IR005"])
-        assert problems == [d.message for d in report]
+        x = g.add_node(OpKind.NOT, 3, operands=[Operand(s.nid)])
+        y = g.add_node(OpKind.NOT, 3, operands=[Operand(x.nid)])
+        g.add_node(OpKind.OUTPUT, 3, operands=[y.nid], name="o")
+        g.set_operand(x.nid, 0, Operand(y.nid, 0))  # x <- y <- x, distance 0
+        report = lint_graph(g, select=["IR00"])
+        # Linter order: the acyclicity gate (IR006) runs before IR005, and
+        # the slice cut off by the rewiring is dead (IR008).
+        assert [d.code for d in report] == ["IR006", "IR005", "IR008"]
+        with pytest.raises(ValidationError) as exc:
+            validate(g)
+        assert str(exc.value) == "; ".join(d.message for d in report)
 
     def test_benchmarks_lint_error_free(self):
         for name, spec in BENCHMARKS.items():

@@ -504,8 +504,10 @@ class TestLinterSelectorValidation:
         assert Linter(select=["IR"], ignore=["ZZZ"]).unmatched_patterns() \
             == ["ZZZ"]
         assert Linter(select=["DF001", "IR"]).unmatched_patterns() == []
-        # EQ001-EQ006 are retired: no registered rule matches the family.
+        # EQ001-EQ006 and MILP001-MILP005 are retired: no registered rule
+        # matches either family.
         assert Linter(select=["EQ"]).unmatched_patterns() == ["EQ"]
+        assert Linter(select=["MILP"]).unmatched_patterns() == ["MILP"]
 
     def test_cli_exits_2_on_unknown_selector(self, capsys):
         from repro.__main__ import main
@@ -513,6 +515,10 @@ class TestLinterSelectorValidation:
         assert main(["lint", "CLZ", "--select", "IR1"]) == 2
         assert "IR1" in capsys.readouterr().err
         assert main(["lint", "CLZ", "--ignore", "NOPE"]) == 2
+        # repro lint runs only CDFG rules: a schedule rule selects nothing.
+        assert main(["lint", "--select", "SCH003",
+                     "--fail-on", "warning"]) == 2
+        assert main(["lint", "--select", "MILP", "CLZ"]) == 2
 
     def test_cli_accepts_family_prefixes(self):
         from repro.__main__ import main

@@ -29,7 +29,7 @@ from repro.designs import (
     reference_xorr,
 )
 from repro.errors import ExperimentError
-from repro.ir.validate import check_problems
+from repro.ir.validate import validate
 from repro.sim import FunctionalSimulator
 
 
@@ -51,7 +51,7 @@ class TestRegistry:
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
     def test_builds_validate(self, name):
         graph = BENCHMARKS[name].build()
-        assert check_problems(graph) == []
+        validate(graph)
 
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
     def test_streams_are_deterministic_and_sufficient(self, name):
@@ -171,7 +171,7 @@ class TestSynthetic:
     def test_all_valid(self):
         for seed in range(20):
             g = random_dfg(seed, ops=12, recurrences=2)
-            assert check_problems(g) == []
+            validate(g)
 
     def test_simulatable(self, rng):
         g = random_dfg(3, ops=12, inputs=2, recurrences=1)
@@ -197,7 +197,7 @@ class TestSynthetic:
         # width=1 used to crash on randrange(1, 1) for the shift amount.
         for seed in (0, 7, 19):
             g = random_dfg(seed, ops=12, width=1, inputs=2)
-            assert check_problems(g) == []
+            validate(g)
 
     def test_pinned_seeds_replay_identically(self):
         # The 1-bit-select fix must not disturb the RNG stream for the

@@ -15,7 +15,7 @@ from repro.designs import (
     reference_gfmul,
     reference_xorr,
 )
-from repro.ir.validate import check_problems
+from repro.ir.validate import validate
 from repro.sim import FunctionalSimulator
 
 
@@ -23,7 +23,7 @@ class TestCLZWidths:
     @pytest.mark.parametrize("width", [8, 16, 32, 64])
     def test_matches_reference(self, width, rng):
         g = build_clz(width)
-        assert check_problems(g) == []
+        validate(g)
         sim = FunctionalSimulator(g)
         for x in (0, 1, (1 << width) - 1, 1 << (width - 1)):
             assert sim.step({"x": x})["clz"] == reference_clz(x, width)
@@ -37,7 +37,7 @@ class TestXORRVariants:
                                                    (16, False), (33, True)])
     def test_matches_reference(self, elements, balanced, rng):
         g = build_xorr(elements=elements, width=8, balanced=balanced)
-        assert check_problems(g) == []
+        validate(g)
         sim = FunctionalSimulator(g)
         vals = [rng.randrange(256) for _ in range(elements)]
         out = sim.step({f"x{i}": v for i, v in enumerate(vals)})["xorr"]
@@ -97,6 +97,6 @@ class TestRSVariants:
     @pytest.mark.parametrize("syndromes", [1, 2, 4])
     def test_builds_and_validates(self, syndromes):
         g = build_rs(syndromes=syndromes)
-        assert check_problems(g) == []
+        validate(g)
         out_names = {n.name for n in g.outputs}
         assert {f"syn{j}" for j in range(1, syndromes + 1)} <= out_names

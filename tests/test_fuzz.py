@@ -7,8 +7,8 @@ import random
 import pytest
 
 from repro.core import MapScheduler, SchedulerConfig
-from repro.core.verify import schedule_problems
-from repro.errors import ReproError
+from repro.core.verify import verify_schedule
+from repro.errors import ReproError, ScheduleVerificationError
 from repro.fuzz import (
     MUTATORS,
     PROFILES,
@@ -29,7 +29,7 @@ from repro.fuzz import (
 from repro.fuzz.runner import FuzzTask, _case_for_task
 from repro.fuzz.shrink import drop_node
 from repro.ir.types import OpKind
-from repro.ir.validate import check_problems
+from repro.ir.validate import validate
 from repro.milp import bnb
 from repro.tech.device import XC7
 
@@ -41,7 +41,7 @@ class TestGenerator:
     def test_profiles_generate_valid_graphs(self, profile):
         for seed in range(8):
             g = generate_graph(seed, PROFILES[profile])
-            assert check_problems(g) == [], f"{profile} seed {seed}"
+            validate(g)
 
     def test_deterministic(self):
         from repro.ir.serialize import dumps
@@ -82,14 +82,14 @@ class TestMutators:
             mutant = MUTATORS[name](g, rng)
             if mutant is not None:
                 produced += 1
-                assert check_problems(mutant) == [], f"{name} seed {seed}"
+                validate(mutant)
         assert produced > 0, f"{name} never produced a mutant"
 
     def test_mutate_composite_always_valid(self):
         for seed in range(10):
             g = generate_case(seed).graph
             mutant = mutate(g, seed, rounds=3)
-            assert check_problems(mutant) == []
+            validate(mutant)
 
     def test_mutators_do_not_touch_input(self):
         from repro.ir.serialize import dumps
@@ -169,7 +169,11 @@ def _corrupt_cut_failing(graph, stim):
         sched.cover[roots[0]], kind="merged",
         support=(40,) * len(sched.cover[roots[0]].support))
     sched.cover[roots[0]] = bad
-    return bool(schedule_problems(sched, XC7))
+    try:
+        verify_schedule(sched, XC7)
+    except ScheduleVerificationError:
+        return True
+    return False
 
 
 class TestShrinker:
@@ -181,7 +185,7 @@ class TestShrinker:
         assert len(result.graph) <= 8, (
             f"shrunk to {len(result.graph)} nodes")
         assert _corrupt_cut_failing(result.graph, result.stimulus)
-        assert check_problems(result.graph) == []
+        validate(result.graph)
 
     def test_drop_node_preserves_validity(self):
         g = generate_case(1).graph
@@ -190,7 +194,7 @@ class TestShrinker:
             candidate = drop_node(g, node.nid)
             if candidate is not None:
                 dropped += 1
-                assert check_problems(candidate) == []
+                validate(candidate)
                 # replacing a node with a fresh constant keeps the size
                 # even; it must never grow
                 assert len(candidate) <= len(g)

@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.core import BaseScheduler, MapScheduler, SchedulerConfig, schedule_problems
+from repro.core import BaseScheduler, MapScheduler, SchedulerConfig, verify_schedule
 from repro.designs import BENCHMARKS, random_dfg
 from repro.errors import InfeasibleError, SchedulingError
 from repro.experiments import run_flow
@@ -53,7 +53,7 @@ def test_property_all_flows_verified_and_equivalent(seed):
                 raise
             continue
         sched = flow.schedule
-        assert schedule_problems(sched, XC7) == [], method
+        verify_schedule(sched, XC7)
         assert replay_equivalent(sched, XC7, stream), method
         if sched.ii == 1:
             assert lint_verilog(emit_verilog(sched)) == [], method
@@ -84,7 +84,7 @@ def test_benchmark_hls_flow_end_to_end(name):
     spec = BENCHMARKS[name]
     flow = run_flow(spec.build(), "hls-tool", XC7,
                     SchedulerConfig(ii=1, tcp=10.0), design=name)
-    assert schedule_problems(flow.schedule, XC7) == []
+    verify_schedule(flow.schedule, XC7)
     stream = spec.input_stream(seed=3, n=12)
     assert replay_equivalent(flow.schedule, XC7, stream,
                              env_factory=lambda: spec.make_env(1))
@@ -108,22 +108,6 @@ def test_benchmark_map_flow_end_to_end(name):
     assert lint_verilog(emit_verilog(mapped.schedule)) == []
 
 
-def test_back_annotation_round_trip():
-    """The Sec. 4 setup: run the tool, parse its report, back-annotate
-    black-box delays, then schedule with the MILP."""
-    from repro.hls import CommercialHLSProxy, back_annotate
-
-    spec = BENCHMARKS["MT"]
-    g = spec.build()
-    result = CommercialHLSProxy(g, XC7, tcp=10.0).run()
-    g2 = spec.build()
-    count = back_annotate(g2, result.report, blackbox_only=True)
-    assert count == 3  # the three state-table ports
-    sched = MapScheduler(g2, XC7,
-                         SchedulerConfig(ii=1, tcp=10.0, time_limit=30)).schedule()
-    assert schedule_problems(sched, XC7) == []
-
-
 def test_regression_interior_boundary_overlap():
     """Seed 3505 once produced a cut whose cone recomputed a node that also
     entered as a registered boundary; the dropped co-timing let the MILP
@@ -131,5 +115,5 @@ def test_regression_interior_boundary_overlap():
     g = random_dfg(3505, ops=10, width=8, inputs=3, recurrences=1)
     flow = run_flow(g, "milp-map", XC7, FAST)
     stream = random_stream(3505, inputs=3, width=8, n=12)
-    assert schedule_problems(flow.schedule, XC7) == []
+    verify_schedule(flow.schedule, XC7)
     assert replay_equivalent(flow.schedule, XC7, stream)

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.ir import CDFG, DFGBuilder, OpKind, Operand, check_problems, to_dot, validate
+from repro.ir import CDFG, DFGBuilder, OpKind, Operand, to_dot, validate
 
 
 class TestValidation:
     def test_valid_graph_has_no_problems(self, fig1_graph):
-        assert check_problems(fig1_graph) == []
+        validate(fig1_graph)
 
     def test_missing_operand_source(self):
         g = CDFG()
@@ -16,14 +16,16 @@ class TestValidation:
         x = g.add_node(OpKind.NOT, 4, operands=[Operand(a.nid)])
         g.add_node(OpKind.OUTPUT, 4, operands=[x.nid], name="o")
         g.set_operand(x.nid, 0, Operand(77, 1))
-        assert any("missing node 77" in p for p in check_problems(g))
+        with pytest.raises(ValidationError, match="missing node 77"):
+            validate(g)
 
     def test_const_value_must_fit(self):
         g = CDFG()
         c = g.add_node(OpKind.CONST, 4, value=3)
         c.value = 99  # corrupt after construction
         g.add_node(OpKind.OUTPUT, 4, operands=[c.nid], name="o")
-        assert any("does not fit" in p for p in check_problems(g))
+        with pytest.raises(ValidationError, match="does not fit"):
+            validate(g)
 
     def test_mux_select_width(self):
         g = CDFG()
@@ -31,40 +33,53 @@ class TestValidation:
         a = g.add_node(OpKind.INPUT, 4, name="a")
         m = g.add_node(OpKind.MUX, 4, operands=[sel.nid, a.nid, a.nid])
         g.add_node(OpKind.OUTPUT, 4, operands=[m.nid], name="o")
-        assert any("width 2 != 1" in p for p in check_problems(g))
+        with pytest.raises(ValidationError, match="width 2 != 1"):
+            validate(g)
 
     def test_output_must_be_sink(self):
         g = CDFG()
         a = g.add_node(OpKind.INPUT, 4, name="a")
         o = g.add_node(OpKind.OUTPUT, 4, operands=[a.nid], name="o")
         g.add_node(OpKind.NOT, 4, operands=[o.nid])
-        problems = check_problems(g, require_outputs=False)
-        assert any("has consumers" in p for p in problems)
+        with pytest.raises(ValidationError, match="has consumers"):
+            validate(g)
 
     def test_slice_out_of_range(self):
         g = CDFG()
         a = g.add_node(OpKind.INPUT, 4, name="a")
         s = g.add_node(OpKind.SLICE, 3, operands=[a.nid], amount=2)
         g.add_node(OpKind.OUTPUT, 3, operands=[s.nid], name="o")
-        assert any("exceeds" in p for p in check_problems(g))
+        with pytest.raises(ValidationError, match="exceeds"):
+            validate(g)
 
     def test_dead_code_flagged(self):
         b = DFGBuilder("t", width=4)
         i = b.input("i")
         _dead = i ^ 1
         b.output(i, "o")
-        assert any("dead operation" in p for p in check_problems(b.graph))
+        with pytest.raises(ValidationError, match="dead operation"):
+            validate(b.graph)
 
     def test_no_outputs_flagged(self):
         g = CDFG()
         g.add_node(OpKind.INPUT, 4, name="a")
-        assert any("no primary outputs" in p for p in check_problems(g))
-        assert check_problems(g, require_outputs=False) == []
+        with pytest.raises(ValidationError, match="no primary outputs"):
+            validate(g)
 
     def test_validate_raises(self):
         g = CDFG()
         with pytest.raises(ValidationError):
             validate(g)
+
+    def test_message_joins_first_eight_errors(self):
+        b = DFGBuilder("t", width=4)
+        i = b.input("i")
+        for k in range(10):
+            _dead = i ^ k
+        b.output(i, "o")
+        with pytest.raises(ValidationError) as exc:
+            validate(b.graph)
+        assert str(exc.value).count("dead operation") == 8
 
 
 class TestDot:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import schedule_problems
+from repro.core import verify_schedule
 from repro.errors import MappingError
 from repro.mapping import StageMapper, map_schedule, recompute_starts
 from repro.scheduling import HeuristicModuloScheduler
@@ -18,7 +18,7 @@ def heuristic(graph, device=XC7, tcp=10.0):
 class TestStageMapper:
     def test_cover_is_complete_and_valid(self):
         sched = map_schedule(heuristic(build_fig1()), XC7)
-        assert schedule_problems(sched, XC7) == []
+        verify_schedule(sched, XC7)
 
     def test_interiors_stay_in_stage(self):
         g = build_recurrent()

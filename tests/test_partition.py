@@ -19,7 +19,6 @@ from repro.partition import (
     extract_subgraph,
     partition_graph,
 )
-from repro.partition.solve import SubgraphSolveTask, subgraph_seed
 from repro.runtime import flow_fingerprint
 from repro.tech.device import XC7
 
@@ -131,23 +130,6 @@ def test_extraction_is_valid_standalone_graph():
         # Every owned local maps back to the source graph.
         for lid in sub.owned_local:
             assert sub.to_global[lid] in owned
-
-
-def test_subgraph_seed_keyed_by_content_and_pin():
-    graph = BENCHMARKS["GFMUL"].build()
-    chain = partition_graph(graph, XC7,
-                            SchedulerConfig(partition=True,
-                                            partition_size=12))
-    sub = extract_subgraph(graph, chain[0], 0)
-
-    def task(pin):
-        return SubgraphSolveTask(
-            design="GFMUL", method="milp-map", index=0,
-            fingerprint=sub.fingerprint, graph_data=None,
-            device=XC7, config=FAST, pin_ii=pin)
-
-    assert subgraph_seed(task(None)) == subgraph_seed(task(None))
-    assert subgraph_seed(task(None)) != subgraph_seed(task(2))
 
 
 # ----------------------------------------------------------------------

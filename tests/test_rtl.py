@@ -64,7 +64,7 @@ class TestEmission:
             sched = MapScheduler(g, XC7,
                                  SchedulerConfig(ii=1, tcp=10.0)).schedule()
         else:
-            sched = CommercialHLSProxy(g, XC7, tcp=10.0).run().schedule
+            sched = CommercialHLSProxy(g, XC7, tcp=10.0).run()
         assert lint_verilog(emit_verilog(sched)) == []
 
 

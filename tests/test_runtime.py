@@ -43,7 +43,6 @@ from repro.runtime import (
     flow_fingerprint,
     resolve_jobs,
     run_parallel,
-    task_seed,
 )
 from repro.runtime import fingerprint as fingerprint_mod
 from repro.sim import replay_equivalent
@@ -243,7 +242,7 @@ def test_flow_cache_validated_flow_stores_one_result_and_its_verdict(
 
 
 # ----------------------------------------------------------------------
-# run_parallel / task_seed
+# run_parallel
 # ----------------------------------------------------------------------
 def _square(n: int) -> int:
     return n * n
@@ -341,12 +340,6 @@ def test_resolve_jobs_env_default(monkeypatch):
     assert resolve_jobs(1) == 1  # explicit beats env
     monkeypatch.setenv("REPRO_JOBS", "junk")
     assert resolve_jobs(None) == 1
-
-
-def test_task_seed_deterministic_and_distinct():
-    assert task_seed("GFMUL", "milp-map") == task_seed("GFMUL", "milp-map")
-    assert task_seed("GFMUL", "milp-map") != task_seed("GFMUL", "milp-base")
-    assert 0 <= task_seed("x") < 2 ** 32
 
 
 # ----------------------------------------------------------------------

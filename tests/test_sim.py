@@ -84,9 +84,9 @@ class TestPipelineReplay:
         assert replay_equivalent(sched, XC7, stream)
 
     def test_hls_schedule_replays(self):
-        result = CommercialHLSProxy(build_recurrent(), XC7, tcp=10.0).run()
+        sched = CommercialHLSProxy(build_recurrent(), XC7, tcp=10.0).run()
         stream = [{"s": k * 5 % 256, "t": k * 3 % 256} for k in range(30)]
-        assert replay_equivalent(result.schedule, XC7, stream)
+        assert replay_equivalent(sched, XC7, stream)
 
     def test_corrupted_schedule_detected(self):
         sched = MapScheduler(build_fig1(), TUTORIAL4,
