@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 __all__ = ["Severity", "Diagnostic", "DiagnosticReport", "SCHEMA_VERSION"]

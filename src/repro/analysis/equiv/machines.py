@@ -22,7 +22,7 @@ to state the per-node correspondence obligations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping
 
 from ...errors import ReproError
 from ...ir.graph import CDFG
@@ -34,7 +34,6 @@ from .aig import AIG
 from .encode import (
     UNINTERPRETED_KINDS,
     BitVec,
-    EncodeUnsupported,
     adjust,
     const_bits,
     encode_node,

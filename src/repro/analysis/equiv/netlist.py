@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from ...ir.types import OpKind
 from ...rtl.parse import (
-    Binary, Concat, ContAssign, Expr, Index, Num, Part, Ref, Signed,
+    Binary, Concat, Expr, Index, Num, Part, Ref, Signed,
     Ternary, Unary, VerilogModule,
 )
 from ...rtl.verilog import _ident
 from ...scheduling.schedule import Schedule
-from .aig import AIG, FALSE, TRUE, lit_not
+from .aig import FALSE, TRUE, lit_not
 from .encode import (
     BitVec,
     _equals_const,

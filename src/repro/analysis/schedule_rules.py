@@ -11,7 +11,6 @@ timing math on an unscheduled node would raise, not diagnose.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import networkx as nx

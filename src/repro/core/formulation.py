@@ -39,6 +39,9 @@ from .config import SchedulerConfig
 
 __all__ = ["MappingAwareFormulation"]
 
+#: Slack of every cycle-window comparison; it only ever widens a window.
+_TOL = 1e-6
+
 
 class MappingAwareFormulation:
     """Builds and decodes the MILP for one CDFG.
@@ -196,10 +199,13 @@ class MappingAwareFormulation:
 
     def _make_variables(self) -> None:
         m = self.model
+        windows = self._cycle_windows()
         pinned: dict[int, list[tuple[Cut, float]]] = {}
         for nid in self._schedulable_ids():
+            lo, hi = windows[nid]
             self.sched_vars[nid] = [
-                m.binary(f"s[{nid},{t}]") for t in range(self.horizon)
+                m.binary(f"s[{nid},{t}]", hi=1.0 if lo <= t <= hi else 0.0)
+                for t in range(self.horizon)
             ]
             self._l[nid] = m.continuous(f"L[{nid}]", 0.0, self.budget)
             if self._forced_root(nid):
@@ -217,6 +223,123 @@ class MappingAwareFormulation:
         # Pinned choices come last, so each row family lists forced roots
         # after every cut binary.
         self.choices = {**self.cut_vars, **pinned}
+
+    def _cycle_windows(self) -> dict[int, tuple[int, int]]:
+        """Each schedulable node's cycle window ``[lo, hi]``.
+
+        Every rule is one the rows enforce on every feasible solution, so
+        no feasible schedule leaves its windows (docs/formulation.md
+        "Cycle windows"). Times are absolute, ``Tcp * S_v + L_v``:
+
+        * a root starts no earlier than each entry of its selected choice
+          finishes, less ``Tcp * II * distance`` (Eq. 9), and slips to the
+          next cycle when its delay would straddle a boundary (Eq. 8);
+        * an entry of a selected cut is a root (Eq. 4), so it finishes no
+          earlier than the least finish over its own choices;
+        * a swallowed node runs at its root's cycle and time (the interior
+          rows); the swallowing cut counts with delay 0, because ``L =
+          Tcp`` aliases the start of the next cycle;
+        * ``S_u <= S_v + II * d`` on every graph edge (Eq. 7), both ways;
+        * latest starts flow back only through consumers with one choice
+          that no cut swallows, whose chain rows always bind.
+
+        Passes repeat until no bound moves (loop-carried entries feed
+        back). A recurrence that cannot close at this II raises its lower
+        bounds and lowers its upper bounds on every pass, so passes also
+        stop once a window empties, and after ``2 * horizon + 2`` at
+        most. Every intermediate state is a valid window, and every
+        comparison leans ``_TOL`` towards the wider one.
+        """
+        tcp, ii = self.budget, self.config.ii
+        ids = self._schedulable_ids()
+        sched = set(ids)
+        order = [nid for nid in self.graph.topological_order()
+                 if nid in sched]
+
+        def entries(cut: Cut | None) -> list[tuple[int, float]]:
+            return [(u, tcp * ii * dist) for u, dist in
+                    (cut.entries if cut is not None else ()) if u in sched]
+
+        # Each node's own choices as (entries, delay), and the cuts that
+        # swallow it as (root, entries).
+        own: dict[int, list[tuple[list[tuple[int, float]], float]]] = {}
+        swallowers: dict[int, list[tuple[int, list[tuple[int, float]]]]] = {}
+        for nid in ids:
+            if self._forced_root(nid):
+                own[nid] = [(entries(self.cuts[nid].unit),
+                             self.delay_expr(nid).constant)]
+                continue
+            node = self.graph.node(nid)
+            own[nid] = []
+            for cut in self.cuts[nid].selectable:
+                ents = entries(cut)
+                own[nid].append((ents, self.delay_model.cut_delay(node, cut)))
+                for w in cut.interior:
+                    if w in sched:
+                        swallowers.setdefault(w, []).append((nid, ents))
+        least = {nid: min((d for _, d in opts), default=0.0)
+                 for nid, opts in own.items()}
+        # A node no cut swallows is always a root (the cover rows).
+        root_delay = {nid: 0.0 if nid in swallowers else least[nid]
+                      for nid in ids}
+        single = {nid: opts[0][0] for nid, opts in own.items()
+                  if len(opts) == 1 and nid not in swallowers}
+        preds = {nid: [(op.source, ii * op.distance)
+                       for op in self.graph.node(nid).operands
+                       if op.source in sched]
+                 for nid in ids}
+
+        lo = dict.fromkeys(ids, 0)
+        hi = dict.fromkeys(ids, self.horizon - 1)
+        finish = dict.fromkeys(ids, 0.0)   # earliest finish as a root
+        latest = dict.fromkeys(ids, tcp * self.horizon)   # latest start
+
+        def earliest(start: float, ents, delay: float) -> tuple[int, float]:
+            """Least cycle and finish of one choice starting after ``start``."""
+            for u, shift in ents:
+                start = max(start, finish[u] - shift)
+            cycle = math.ceil((start + delay) / tcp - 1 - _TOL)
+            return cycle, max(start, tcp * cycle) + delay
+
+        for _ in range(2 * self.horizon + 2):
+            moved = False
+            for v in order:
+                low = lo[v]
+                for u, shift in preds[v]:
+                    low = max(low, lo[u] - shift)
+                cycles, finishes = [], []
+                for ents, delay in own[v]:
+                    cycle, end = earliest(tcp * low, ents, delay)
+                    cycles.append(cycle)
+                    finishes.append(end)
+                for r, ents in swallowers.get(v, ()):
+                    first = max(low, lo[r])
+                    cycles.append(max(first,
+                                      earliest(tcp * first, ents, 0.0)[0]))
+                low = max(low, min(cycles, default=low))
+                end = min(finishes, default=0.0)
+                if low > lo[v] or end > finish[v] + _TOL:
+                    moved = True
+                    lo[v] = low
+                    finish[v] = max(finish[v], end)
+            for v in reversed(order):
+                top = min(hi[v], math.floor(latest[v] / tcp + _TOL))
+                late = min(latest[v], tcp * (top + 1) - root_delay[v])
+                if top < hi[v] or late < latest[v] - _TOL:
+                    moved = True
+                    hi[v], latest[v] = top, late
+                for u, shift in preds[v]:
+                    if hi[v] + shift < hi[u]:
+                        moved = True
+                        hi[u] = hi[v] + shift
+                for u, shift in single.get(v, ()):
+                    bound = latest[v] + shift - least[u]
+                    if bound < latest[u] - _TOL:
+                        moved = True
+                        latest[u] = bound
+            if not moved or any(lo[v] > hi[v] for v in ids):
+                break
+        return {nid: (lo[nid], hi[nid]) for nid in ids}
 
     # -- Eq. 2/3/4 + coverage -------------------------------------------
     def _cover_constraints(self) -> None:

@@ -106,13 +106,14 @@ class MapScheduler:
         """Find the smallest feasible II >= ``config.ii`` (ascending).
 
         Cuts are enumerated once and shared by every probe. Presolve
-        can fail a doomed II without an LP: it does on resource-bound
-        probes (three loads on two memory ports at II=1), but on none of
-        the benchmark's presolves (docs/performance.md). The heuristic
-        warm-start cache chains across probes: a heuristic run that
-        bumped itself to a larger II seeds the solve when the sweep
-        reaches that II. ``self.config`` is left at the II that
-        succeeded so the returned schedule and the scheduler agree.
+        fails a doomed II without an LP when a node's cycle window is
+        empty (a recurrence that cannot close at that II) or a resource
+        bound rules it out (three loads on two memory ports at II=1;
+        docs/performance.md). The heuristic warm-start cache chains
+        across probes: a heuristic run that bumped itself to a larger II
+        seeds the solve when the sweep reaches that II. ``self.config``
+        is left at the II that succeeded so the returned schedule and
+        the scheduler agree.
         """
         if not self.cuts:
             self.enumerate()

@@ -9,7 +9,7 @@ deterministic input-stream generator for replay checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from ..errors import ExperimentError

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.config import SchedulerConfig
 from ..cuts.enumerate import CutEnumerator

@@ -461,15 +461,17 @@ def oracle_cache(case: FuzzCase) -> Divergence | None:
 def oracle_partition(case: FuzzCase) -> Divergence | None:
     """Subgraph decomposition vs the monolithic solve (docs/partitioning.md).
 
-    The stitched schedule must re-verify independently, must replay
-    bit-exactly against the functional reference, and must never *worsen*
-    the II: every subgraph problem is a restriction of the monolithic one
-    (its recurrences and resource demands are subsets), so with time caps
-    skipped the fleet II can only match or beat the monolithic II.
+    ``PartitionScheduler.schedule()`` verifies every stitched schedule
+    before it returns one, and a failure raises (it is re-raised here: a
+    stitched schedule that fails verify is the bug). The stitched
+    schedule must replay bit-exactly against the functional reference,
+    and must never *worsen* the II: every subgraph problem is a
+    restriction of the monolithic one (its recurrences and resource
+    demands are subsets), so with time caps skipped the fleet II can only
+    match or beat the monolithic II.
     """
     import dataclasses
 
-    from ..core.verify import verify_schedule
     from ..partition import PartitionScheduler
 
     mono = case.flow("milp-map")
@@ -488,13 +490,6 @@ def oracle_partition(case: FuzzCase) -> Divergence | None:
     except SchedulingError as exc:
         raise SkipOracle(f"partition: infeasible ({exc})") from exc
 
-    try:
-        verify_schedule(stitched, case.device)
-    except ScheduleVerificationError as exc:
-        return Divergence(
-            oracle="partition", kind="verify",
-            message="stitched schedule fails independent re-verification",
-            details={"problems": exc.violations[:5], "subgraph_size": size})
     if stitched.ii > mono.schedule.ii:
         return Divergence(
             oracle="partition", kind="cost",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..errors import ModelError
 
@@ -244,9 +244,9 @@ class Model:
         """An integer variable with bounds [lo, hi]."""
         return self._new_var(name, "integer", lo, hi)
 
-    def binary(self, name: str = "") -> Var:
-        """A 0/1 variable."""
-        return self._new_var(name, "binary", 0.0, 1.0)
+    def binary(self, name: str = "", hi: float = 1.0) -> Var:
+        """A 0/1 variable; ``hi=0`` creates it already pinned to 0."""
+        return self._new_var(name, "binary", 0.0, hi)
 
     # -- constraints and objective ---------------------------------------
     def add(self, constraint: Constraint, name: str = "") -> Constraint:

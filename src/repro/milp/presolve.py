@@ -222,21 +222,24 @@ def presolve(model: Model) -> tuple[Model, Postsolve]:
         for j in row.coeffs:
             columns.setdefault(j, set()).add(r)
 
-    # One-hot groups: sum(x) == 1 over binaries. group_of maps a member
-    # to its group id; group_left counts unfixed members; group_done
-    # marks a group whose 1 has been chosen (remaining members collapse
-    # to 0 through ordinary propagation of the defining row).
+    # One-hot groups: sum(x) == 1 over binaries. Members already pinned
+    # to 0 (a schedule variable outside its cycle window) add nothing and
+    # stay out of the group. group_of maps a member to its group id;
+    # group_left counts unfixed members; group_done marks a group whose 1
+    # has been chosen (remaining members collapse to 0 through ordinary
+    # propagation of the defining row).
     group_of: dict[int, int] = {}
     group_left: list[int] = []
     group_done: list[bool] = []
     group_def_row: list[int] = []
     for r, row in enumerate(rows):
-        if not (row.lo == 1.0 and row.hi == 1.0 and len(row.coeffs) >= 2):
+        if not (row.lo == 1.0 and row.hi == 1.0):
             continue
-        members = list(row.coeffs)
-        if any(row.coeffs[j] != 1.0 or not is_int[j]
-               or lo[j] != 0.0 or hi[j] != 1.0 or j in group_of
-               for j in members):
+        members = [j for j in row.coeffs if not lo[j] == hi[j] == 0.0]
+        if len(members) < 2 or any(
+                row.coeffs[j] != 1.0 or not is_int[j]
+                or lo[j] != 0.0 or hi[j] != 1.0 or j in group_of
+                for j in members):
             continue
         gid = len(group_left)
         group_left.append(len(members))

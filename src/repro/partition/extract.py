@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 
 from ..ir.graph import CDFG
-from ..ir.node import Node, Operand
+from ..ir.node import Operand
 from ..ir.types import OpKind
 
 __all__ = ["SubgraphExtraction", "extract_subgraph"]

@@ -53,7 +53,7 @@ import logging
 import threading
 import time
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from ..errors import (
     FlowCancelled,

@@ -33,7 +33,7 @@ from typing import Any
 
 from ..errors import ProtocolError, QuotaExceeded, ServiceBusy, ServiceError
 from .jobs import SchedulingService
-from .protocol import SERVICE_SCHEMA, TERMINAL_STATES
+from .protocol import SERVICE_SCHEMA
 
 __all__ = ["ServiceServer"]
 

@@ -18,6 +18,7 @@ from repro.errors import InfeasibleError, SchedulingError
 from repro.experiments import run_flow
 from repro.hw import evaluate
 from repro.rtl import emit_verilog, lint_verilog
+from repro.runtime.trace import Tracer
 from repro.sim import replay_equivalent
 from repro.tech.device import XC7
 
@@ -57,6 +58,20 @@ def test_property_all_flows_verified_and_equivalent(seed):
         assert replay_equivalent(sched, XC7, stream), method
         if sched.ii == 1:
             assert lint_verilog(emit_verilog(sched)) == [], method
+
+
+def test_doomed_ii_is_proved_infeasible_without_a_solve():
+    """milp-base cannot close seed 112's recurrence at II=1: its cycle
+    windows empty, so presolve proves each probe (narrowed and original
+    graph, two horizons each) infeasible before any LP runs."""
+    tracer = Tracer()
+    graph = random_dfg(112, ops=10, width=8, inputs=3, recurrences=1)
+    with pytest.raises(InfeasibleError):
+        run_flow(graph, "milp-base", XC7, FAST, tracer=tracer)
+    presolves = [s.meta.get("proved") for s in tracer.spans
+                 if s.name == "presolve"]
+    assert presolves == ["infeasible"] * 4
+    assert not any(s.name == "solve" for s in tracer.spans)
 
 
 @settings(max_examples=8, deadline=None,
